@@ -44,7 +44,6 @@ struct CodecResult {
 hvd::Knobs codec_knobs(hvd::CompressionAlgo algo, float topk_ratio) {
   hvd::Knobs knobs = hvd::Knobs::paper_tuned();
   knobs.cycle_time_s = 1e-4;
-  knobs.fp16_allreduce = false;
   knobs.compression = algo;
   knobs.topk_ratio = topk_ratio;
   return knobs;
@@ -191,7 +190,7 @@ int main() {
       config.flop_efficiency = perf::Calibration::paper_defaults().deeplab_efficiency;
       config.mpi_profile = row.profile;
       config.knobs = row.knobs;
-      config.knobs.fp16_allreduce = on;
+      config.knobs.compression = on ? hvd::CompressionAlgo::kFp16 : hvd::CompressionAlgo::kNone;
       config.warmup_iterations = 1;
       config.iterations = 1;
       const auto result = perf::simulate(config);

@@ -122,12 +122,12 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("Effective allreduce algo: %s | wire codec: %s", effective_algo.c_str(),
-              hvd::to_string(config.knobs.effective_compression()));
-  if (config.knobs.effective_compression() == hvd::CompressionAlgo::kTopK) {
+              hvd::to_string(config.knobs.compression));
+  if (config.knobs.compression == hvd::CompressionAlgo::kTopK) {
     std::printf(" (ratio %.3f)", static_cast<double>(config.knobs.topk_ratio));
   }
-  if (config.knobs.effective_compression() == hvd::CompressionAlgo::kInt8 ||
-      config.knobs.effective_compression() == hvd::CompressionAlgo::kTopK) {
+  if (config.knobs.compression == hvd::CompressionAlgo::kInt8 ||
+      config.knobs.compression == hvd::CompressionAlgo::kTopK) {
     std::printf(", error feedback %s", config.knobs.error_feedback ? "on" : "off");
   }
   std::printf("\n");

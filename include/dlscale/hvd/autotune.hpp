@@ -41,9 +41,8 @@ namespace dlscale::hvd {
 /// exception: populating it lets the policy explore the gradient wire
 /// codec (none/fp16/int8/topk — DESIGN.md §12), which IS
 /// numerics-changing, so it stays empty (inert) unless the caller
-/// explicitly accepts lossy averaging. A compression candidate fully
-/// determines the codec: it overrides both Knobs::compression and the
-/// legacy fp16_allreduce flag.
+/// explicitly accepts lossy averaging. A compression candidate sets
+/// Knobs::compression.
 struct TuningSpace {
   std::vector<std::size_t> fusion_thresholds{1 << 20, 8 << 20, 64 << 20};
   std::vector<double> cycle_times_s{1e-3, 3.5e-3, 10e-3, 25e-3};

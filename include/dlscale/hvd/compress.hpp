@@ -50,6 +50,23 @@ enum class CompressionAlgo : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CompressionAlgo algo) noexcept;
 
+/// How one rank's share of a fused batch travels on the wire. Reducible
+/// codecs allreduce wire_bytes / elem_size elements of elem_size bytes;
+/// the others allgather one wire_bytes blob per rank.
+struct WireLayout {
+  bool reducible = true;
+  std::size_t elem_size = 4;
+  std::size_t wire_bytes = 0;
+};
+
+/// The wire layout of tensors of `counts` fp32 elements under `algo` —
+/// the one place an exchange is priced, for payload and timing-only
+/// batches alike. none: 4 B/element; fp16: 2 B/element; int8: 8-byte
+/// {scale, offset} header + n bytes per tensor; top-k: 4-byte count +
+/// k * 8-byte (index, value) per tensor.
+[[nodiscard]] WireLayout wire_layout(CompressionAlgo algo, std::span<const std::size_t> counts,
+                                     float topk_ratio);
+
 /// Case-insensitive parse of "none|fp16|int8|topk" (also "top-k"/"top_k").
 /// nullopt on anything else — callers own the error policy.
 [[nodiscard]] std::optional<CompressionAlgo> parse_compression(std::string_view text);
@@ -74,16 +91,16 @@ class GradientCompressor {
   /// (acc - dequant(encoded)) before returning; the caller then exchanges
   /// the identical-layout blobs via allgather. Deterministic: same input
   /// -> same bytes, at every SIMD dispatch level (quantize_u8 contract).
-  [[nodiscard]] std::span<const std::byte> encode(CompressionAlgo algo,
-                                                  std::span<const Chunk> chunks,
-                                                  float topk_ratio, bool error_feedback);
+  /// The blob's size is wire_layout(algo, ...).wire_bytes.
+  [[nodiscard]] std::span<std::byte> encode(CompressionAlgo algo, std::span<const Chunk> chunks,
+                                            float topk_ratio, bool error_feedback);
 
   /// Decode `world` concatenated blobs (allgather order, each the size
   /// encode returned) and overwrite every chunk's data with the average
   /// of all ranks' dequantized contributions. Accumulation runs in rank
   /// order 0..world-1, so every rank computes bitwise-identical averages.
   void decode_average(CompressionAlgo algo, std::span<const Chunk> chunks,
-                      std::span<const std::byte> gathered, int world, float topk_ratio);
+                      std::span<const std::byte> gathered, int world);
 
   /// Drop all residual state. Called on elastic world rebuilds and
   /// checkpoint restore: residuals are scaled to the OLD world's
@@ -105,14 +122,6 @@ class GradientCompressor {
   /// to [1, n]. All ranks compute the same k, which keeps the allgather
   /// blobs fixed-size.
   [[nodiscard]] static std::size_t topk_k(std::size_t n, float ratio);
-
-  /// Wire size of one rank's blob for tensors of `counts` elements —
-  /// used by the timing-only path to price compressed exchanges without
-  /// touching payloads. int8: 8-byte {scale, offset} header + n bytes per
-  /// tensor. top-k: 4-byte count + k * 8-byte (index, value) per tensor.
-  [[nodiscard]] static std::size_t int8_wire_bytes(std::span<const std::size_t> counts);
-  [[nodiscard]] static std::size_t topk_wire_bytes(std::span<const std::size_t> counts,
-                                                   float ratio);
 
  private:
   [[nodiscard]] std::vector<float>& residual_for(const std::string& name, std::size_t n);

@@ -13,8 +13,11 @@
 //    (rank 0); when every rank has reported a tensor, the coordinator
 //    emits a response, preserving arrival order;
 //  * responses are greedily fused into batches up to the fusion
-//    threshold, packed into a fusion buffer, allreduced once per batch
-//    (flat or hierarchical), unpacked, and averaged;
+//    threshold; each batch is encoded by the wire codec, exchanged once
+//    (allreduce, flat or hierarchical, when the codec is reducible;
+//    ring allgather otherwise), then decoded and averaged. Timing-only
+//    batches (no payload) make exactly the same calls, so both modes are
+//    priced by one code path;
 //  * after the first iteration the response cache replaces name-list
 //    gathers with a fixed-size bitvector allgather.
 //
@@ -48,16 +51,12 @@ struct Knobs {
   /// ranks but not all for this many cycles — Horovod's stall check
   /// (HOROVOD_STALL_CHECK). 0 disables.
   std::uint64_t stall_warning_cycles = 500;
-  /// Compress gradients to IEEE half before the allreduce and expand the
-  /// averaged result (HOROVOD_FP16_ALLREDUCE): halves wire bytes at
-  /// ~1e-3 relative precision cost.
-  bool fp16_allreduce = false;
   /// Record negotiation/allreduce events for the Chrome-tracing timeline
   /// from construction on (HOROVOD_TIMELINE: any non-empty value).
   bool timeline = false;
-  /// Gradient wire codec (DESIGN.md §12). kNone falls back to
-  /// fp16_allreduce above, so the legacy knob keeps working; any other
-  /// value wins over it (effective_compression() resolves the pair).
+  /// Gradient wire codec (DESIGN.md §12). kFp16 is Horovod's
+  /// HOROVOD_FP16_ALLREDUCE: halves wire bytes at ~1e-3 relative
+  /// precision cost.
   CompressionAlgo compression = CompressionAlgo::kNone;
   /// Fraction of each tensor's elements kTopK keeps, in (0, 1].
   float topk_ratio = 0.01f;
@@ -66,12 +65,6 @@ struct Knobs {
   /// degrades (the mIOU gate's no-EF control shows exactly that).
   bool error_feedback = true;
 
-  /// The codec actually in force once the legacy fp16 flag is folded in.
-  [[nodiscard]] CompressionAlgo effective_compression() const noexcept {
-    if (compression != CompressionAlgo::kNone) return compression;
-    return fp16_allreduce ? CompressionAlgo::kFp16 : CompressionAlgo::kNone;
-  }
-
   /// Read HOROVOD_FUSION_THRESHOLD / HOROVOD_CYCLE_TIME (ms) /
   /// HOROVOD_HIERARCHICAL_ALLREDUCE / HOROVOD_CACHE_CAPACITY /
   /// HOROVOD_FP16_ALLREDUCE / HOROVOD_STALL_CHECK (cycles, 0 disables) /
@@ -79,10 +72,12 @@ struct Knobs {
   /// (ring|rabenseifner|recursive_doubling|auto) /
   /// DLSCALE_GRAD_COMPRESSION (none|fp16|int8|topk) / DLSCALE_TOPK_RATIO
   /// ((0,1]) / DLSCALE_ERROR_FEEDBACK from the environment, falling back
-  /// to the given defaults. Unknown DLSCALE_ALLREDUCE_ALGO or
-  /// DLSCALE_GRAD_COMPRESSION values and out-of-range DLSCALE_TOPK_RATIO
-  /// throw std::invalid_argument naming the valid set — a typo'd codec
-  /// silently falling back to fp32 would invalidate a whole run.
+  /// to the given defaults. HOROVOD_FP16_ALLREDUCE=1 selects kFp16 unless
+  /// the codec is already something other than kNone. Unknown
+  /// DLSCALE_ALLREDUCE_ALGO or DLSCALE_GRAD_COMPRESSION values and
+  /// out-of-range DLSCALE_TOPK_RATIO throw std::invalid_argument naming
+  /// the valid set — a typo'd codec silently falling back to fp32 would
+  /// invalidate a whole run.
   static Knobs from_env(Knobs defaults);
   static Knobs from_env();
 
@@ -160,6 +155,9 @@ class HorovodRuntime {
 
   /// Run negotiation/execution cycles until every submitted tensor has
   /// been reduced on all ranks (hvd.synchronize equivalent). Collective.
+  /// Throws std::runtime_error after DLSCALE_HVD_MAX_CYCLES cycles
+  /// (default 1e6, read at construction; <= 0 makes the constructor
+  /// throw std::invalid_argument).
   void synchronize();
 
   /// Broadcast `data` from `root` to all ranks (hvd.broadcast). Used to
@@ -217,6 +215,7 @@ class HorovodRuntime {
   Knobs knobs_;
   std::optional<Knobs> pending_knobs_;  ///< staged by set_knobs, applied by cycle()
   gpu::ComputeModel copy_model_;
+  std::uint64_t max_cycles_;  ///< synchronize()'s negotiation budget
   RuntimeStats stats_;
 
   std::unordered_map<std::string, Pending> pending_;

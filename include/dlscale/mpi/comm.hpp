@@ -262,8 +262,10 @@ class Communicator {
                                                                  int root);
 
   /// Fixed-size allgather (ring algorithm): `out` has size()*mine.size().
+  /// `logical_block` overrides the priced block size; pass it with empty
+  /// spans for a timing-only exchange (as for bcast's `logical_bytes`).
   void allgather(std::span<const std::byte> mine, std::span<std::byte> out,
-                 MemSpace space = MemSpace::kHost);
+                 MemSpace space = MemSpace::kHost, std::size_t logical_block = kAuto);
 
   /// Fixed-size scatter: root's `blocks` (size()*block bytes) are split so
   /// member r receives block r into `mine`. Non-roots pass blocks = {}.
@@ -305,15 +307,19 @@ class Communicator {
                       MemSpace space = MemSpace::kDevice);
 
   /// In-place allreduce with a caller-supplied elementwise reducer over
-  /// raw elements (e.g. fp16 sum for compressed gradients). `reducer`
-  /// must outlive the call; its elem_size must equal `elem_size`.
+  /// raw elements (e.g. fp16 sum for compressed gradients), flat or
+  /// two-level (`algo` then picks the leader allreduce). `reducer` must
+  /// outlive the call; its elem_size must equal `elem_size`. A null
+  /// `data` prices the same exchange without moving payload.
   void allreduce_custom(std::byte* data, std::size_t elem_size, std::size_t count,
                         const Reducer& reducer, MemSpace space = MemSpace::kDevice,
-                        std::optional<AllreduceAlgo> algo = std::nullopt);
+                        std::optional<AllreduceAlgo> algo = std::nullopt,
+                        bool hierarchical = false);
 
   /// Timing-only allreduce: prices an allreduce of `bytes` (float
   /// elements) without moving payload. Used by the performance simulator
-  /// where 132-rank gradient buffers would not fit in memory.
+  /// where 132-rank gradient buffers would not fit in memory. Both forms
+  /// forward to allreduce_custom with a null payload.
   void allreduce_sim(std::size_t bytes, MemSpace space = MemSpace::kDevice,
                      std::optional<AllreduceAlgo> algo = std::nullopt);
   void hierarchical_allreduce_sim(std::size_t bytes, MemSpace space = MemSpace::kDevice,

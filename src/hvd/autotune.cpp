@@ -43,7 +43,6 @@ std::vector<std::byte> encode_decision(bool frozen, const Knobs& knobs) {
   DecisionWire::put<std::uint8_t>(out,
                                   static_cast<std::uint8_t>(knobs.algo.value_or(mpi::AllreduceAlgo::kRing)));
   DecisionWire::put<std::uint64_t>(out, knobs.stall_warning_cycles);
-  DecisionWire::put<std::uint8_t>(out, knobs.fp16_allreduce ? 1 : 0);
   DecisionWire::put<std::uint8_t>(out, knobs.timeline ? 1 : 0);
   DecisionWire::put<std::uint8_t>(out, static_cast<std::uint8_t>(knobs.compression));
   DecisionWire::put<float>(out, knobs.topk_ratio);
@@ -63,7 +62,6 @@ std::pair<bool, Knobs> decode_decision(std::span<const std::byte> blob) {
   const auto algo = static_cast<mpi::AllreduceAlgo>(DecisionWire::get<std::uint8_t>(blob, pos));
   knobs.algo = has_algo ? std::optional<mpi::AllreduceAlgo>(algo) : std::nullopt;
   knobs.stall_warning_cycles = DecisionWire::get<std::uint64_t>(blob, pos);
-  knobs.fp16_allreduce = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
   knobs.timeline = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
   knobs.compression = static_cast<CompressionAlgo>(DecisionWire::get<std::uint8_t>(blob, pos));
   knobs.topk_ratio = DecisionWire::get<float>(blob, pos);
@@ -97,13 +95,7 @@ Knobs CoordinateDescentPolicy::with_candidate(int axis, std::size_t index) const
     case 0: knobs.fusion_threshold = space_.fusion_thresholds[index]; break;
     case 1: knobs.cycle_time_s = space_.cycle_times_s[index]; break;
     case 2: knobs.hierarchical_allreduce = space_.hierarchical[index]; break;
-    default:
-      // A codec candidate fully determines the wire format: clear the
-      // legacy fp16 flag so kNone really means uncompressed (otherwise
-      // effective_compression() would fall back to fp16).
-      knobs.compression = space_.compressions[index];
-      knobs.fp16_allreduce = false;
-      break;
+    default: knobs.compression = space_.compressions[index]; break;
   }
   return knobs;
 }
@@ -113,7 +105,7 @@ bool CoordinateDescentPolicy::matches_best(int axis, std::size_t index) const {
     case 0: return space_.fusion_thresholds[index] == best_.fusion_threshold;
     case 1: return space_.cycle_times_s[index] == best_.cycle_time_s;
     case 2: return space_.hierarchical[index] == best_.hierarchical_allreduce;
-    default: return space_.compressions[index] == best_.effective_compression();
+    default: return space_.compressions[index] == best_.compression;
   }
 }
 
@@ -167,10 +159,7 @@ std::optional<Knobs> GridSearchPolicy::propose() {
   const std::size_t comps = std::max<std::size_t>(1, space_.compressions.size());
   std::size_t index = next_++;
   Knobs knobs = base_;
-  if (!space_.compressions.empty()) {
-    knobs.compression = space_.compressions[index % comps];
-    knobs.fp16_allreduce = false;  // the candidate IS the codec (see with_candidate)
-  }
+  if (!space_.compressions.empty()) knobs.compression = space_.compressions[index % comps];
   index /= comps;
   knobs.hierarchical_allreduce = space_.hierarchical[index % hiers];
   index /= hiers;
@@ -317,7 +306,7 @@ void Autotuner::finish_window(bool force_freeze) {
                                               << next.cycle_time_s * 1e3 << "ms hierarchical "
                                               << (next.hierarchical_allreduce ? "on" : "off")
                                               << " codec "
-                                              << to_string(next.effective_compression()));
+                                              << to_string(next.compression));
     }
   }
   decision = comm.bcast_blob(decision, 0);

@@ -76,20 +76,25 @@ std::size_t GradientCompressor::topk_k(std::size_t n, float ratio) {
   return std::clamp<std::size_t>(static_cast<std::size_t>(k), 1, n);
 }
 
-std::size_t GradientCompressor::int8_wire_bytes(std::span<const std::size_t> counts) {
-  std::size_t bytes = 0;
-  for (std::size_t n : counts) bytes += sizeof(Int8Header) + n;
-  return bytes;
-}
-
-std::size_t GradientCompressor::topk_wire_bytes(std::span<const std::size_t> counts,
-                                                float ratio) {
-  std::size_t bytes = 0;
+WireLayout wire_layout(CompressionAlgo algo, std::span<const std::size_t> counts,
+                       float topk_ratio) {
+  WireLayout layout;
+  // Affine codes carry per-rank scales and sparse sets differ per rank,
+  // so int8/top-k blobs cannot be summed on the wire.
+  layout.reducible = algo == CompressionAlgo::kNone || algo == CompressionAlgo::kFp16;
+  if (algo == CompressionAlgo::kFp16) layout.elem_size = sizeof(std::uint16_t);
+  if (!layout.reducible) layout.elem_size = 1;
   for (std::size_t n : counts) {
-    bytes += sizeof(std::uint32_t) +
-             topk_k(n, ratio) * (sizeof(std::uint32_t) + sizeof(float));
+    if (algo == CompressionAlgo::kInt8) {
+      layout.wire_bytes += sizeof(Int8Header) + n;
+    } else if (algo == CompressionAlgo::kTopK) {
+      layout.wire_bytes += sizeof(std::uint32_t) + GradientCompressor::topk_k(n, topk_ratio) *
+                                                       (sizeof(std::uint32_t) + sizeof(float));
+    } else {
+      layout.wire_bytes += n * layout.elem_size;
+    }
   }
-  return bytes;
+  return layout;
 }
 
 std::vector<float>& GradientCompressor::residual_for(const std::string& name,
@@ -101,9 +106,9 @@ std::vector<float>& GradientCompressor::residual_for(const std::string& name,
   return residual;
 }
 
-std::span<const std::byte> GradientCompressor::encode(CompressionAlgo algo,
-                                                      std::span<const Chunk> chunks,
-                                                      float topk_ratio, bool error_feedback) {
+std::span<std::byte> GradientCompressor::encode(CompressionAlgo algo,
+                                                std::span<const Chunk> chunks, float topk_ratio,
+                                                bool error_feedback) {
   wire_.clear();
   switch (algo) {
     case CompressionAlgo::kInt8: encode_int8(chunks, error_feedback); break;
@@ -239,9 +244,7 @@ void GradientCompressor::encode_topk(std::span<const Chunk> chunks, float topk_r
 }
 
 void GradientCompressor::decode_average(CompressionAlgo algo, std::span<const Chunk> chunks,
-                                        std::span<const std::byte> gathered, int world,
-                                        float topk_ratio) {
-  (void)topk_ratio;  // k is on the wire; the ratio only shapes encode
+                                        std::span<const std::byte> gathered, int world) {
   if (world <= 0) throw std::invalid_argument("hvd compress: world must be positive");
   if (gathered.size() % static_cast<std::size_t>(world) != 0) {
     throw std::invalid_argument("hvd compress: gathered size not divisible by world");

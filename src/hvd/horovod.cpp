@@ -80,7 +80,6 @@ std::optional<mpi::AllreduceAlgo> parse_allreduce_algo(std::string_view text) {
 
 Knobs Knobs::from_env(Knobs defaults) {
   Knobs knobs = defaults;
-  knobs.fp16_allreduce = util::env_bool("HOROVOD_FP16_ALLREDUCE", defaults.fp16_allreduce);
   knobs.fusion_threshold =
       util::env_bytes("HOROVOD_FUSION_THRESHOLD", defaults.fusion_threshold);
   // Horovod expresses cycle time in milliseconds.
@@ -128,6 +127,11 @@ Knobs Knobs::from_env(Knobs defaults) {
       knobs.compression = *codec;
     }
   }
+  // Horovod's fp16 switch is the fp16 codec; a codec named explicitly wins.
+  if (util::env_bool("HOROVOD_FP16_ALLREDUCE", false) &&
+      knobs.compression == CompressionAlgo::kNone) {
+    knobs.compression = CompressionAlgo::kFp16;
+  }
   const double topk_ratio =
       util::env_double("DLSCALE_TOPK_RATIO", static_cast<double>(defaults.topk_ratio));
   if (!(topk_ratio > 0.0 && topk_ratio <= 1.0)) {
@@ -148,8 +152,27 @@ Knobs Knobs::paper_tuned() {
   return knobs;
 }
 
+namespace {
+
+// Safety valve against mismatched submissions across ranks (the
+// negotiation would otherwise spin forever), overridable for tests and
+// debugging.
+std::uint64_t max_cycles_from_env() {
+  const std::int64_t cycles = util::env_int("DLSCALE_HVD_MAX_CYCLES", 1'000'000);
+  if (cycles <= 0) {
+    throw std::invalid_argument("DLSCALE_HVD_MAX_CYCLES: " + std::to_string(cycles) +
+                                " is not a positive cycle count");
+  }
+  return static_cast<std::uint64_t>(cycles);
+}
+
+}  // namespace
+
 HorovodRuntime::HorovodRuntime(mpi::Communicator& comm, Knobs knobs, gpu::ComputeModel copy_model)
-    : comm_(comm), knobs_(knobs), copy_model_(std::move(copy_model)) {
+    : comm_(comm),
+      knobs_(knobs),
+      copy_model_(std::move(copy_model)),
+      max_cycles_(max_cycles_from_env()) {
   if (knobs_.fusion_threshold == 0) knobs_.fusion_threshold = 1;  // per-tensor launches
   if (knobs_.timeline) timeline_enabled_ = true;
 }
@@ -158,6 +181,10 @@ void HorovodRuntime::submit(TensorRequest request) {
   if (request.name.empty()) throw std::invalid_argument("hvd::submit: tensor needs a name");
   if (request.bytes == 0) request.bytes = request.data.size_bytes();
   if (request.bytes == 0) throw std::invalid_argument("hvd::submit: zero-size tensor");
+  if (!request.data.empty() && request.bytes != request.data.size_bytes()) {
+    throw std::invalid_argument("hvd::submit: tensor '" + request.name +
+                                "' bytes disagree with its payload size");
+  }
   if (pending_.contains(request.name)) {
     throw std::logic_error("hvd::submit: tensor '" + request.name +
                            "' already pending (synchronize before resubmitting)");
@@ -343,176 +370,112 @@ void half_sum(std::byte* acc_raw, const std::byte* in_raw, std::size_t n) {
   util::halves_add_inplace(acc, in, n);
 }
 
+const mpi::Communicator::Reducer kFloatSum = mpi::detail::make_reducer<float>(mpi::ReduceOp::kSum);
+const mpi::Communicator::Reducer kHalfSum{sizeof(std::uint16_t), &half_sum};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 }  // namespace
 
+// One sequence for every codec and both modes: price the wire layout,
+// pack, exchange (allreduce when the codec is reducible, ring allgather
+// otherwise), unpack. A timing-only batch carries no payload, so its wire
+// stays empty and the comm engines price the same calls without moving
+// bytes — the two modes cannot disagree on virtual time.
 void HorovodRuntime::execute_batch(const std::vector<std::string>& names) {
   ++stats_.fused_batches;
   const double exec_start = comm_.now();
+  const CompressionAlgo codec = knobs_.compression;
+  std::vector<GradientCompressor::Chunk> chunks;
+  std::vector<std::size_t> counts;
+  chunks.reserve(names.size());
+  counts.reserve(names.size());
   std::size_t total_bytes = 0;
-  bool has_data = false;
   for (const std::string& name : names) {
-    const Pending& entry = pending_.at(name);
-    total_bytes += entry.request.bytes;
-    has_data = has_data || !entry.request.data.empty();
+    const TensorRequest& request = pending_.at(name).request;
+    chunks.push_back({&name, request.data});
+    counts.push_back((request.bytes + sizeof(float) - 1) / sizeof(float));
+    total_bytes += request.bytes;
   }
   stats_.bytes_reduced += total_bytes;
-  const auto world = static_cast<float>(comm_.size());
-  const CompressionAlgo codec = knobs_.effective_compression();
-  const bool allgather_codec =
-      codec == CompressionAlgo::kInt8 || codec == CompressionAlgo::kTopK;
+  const WireLayout layout = wire_layout(codec, counts, knobs_.topk_ratio);
+  stats_.bytes_on_wire += layout.wire_bytes;
+  const bool payload = !chunks.front().data.empty();
+  // One fp32 tensor reduces in place (Horovod skips the fusion buffer);
+  // any other batch pays one device copy to pack and one to unpack (the
+  // codec conversions ride the same copy kernels).
+  const bool in_place = names.size() == 1 && codec == CompressionAlgo::kNone;
+  const auto charge_copy = [&] {
+    if (!in_place && comm_.timing_enabled()) {
+      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
+    }
+  };
+  const float world = static_cast<float>(comm_.size());
 
-  if (!has_data) {
-    // Timing-only: price the fusion-buffer pack/unpack copies (the
-    // codec conversions ride the same copy kernels) and run a
-    // payload-free collective over the compressed wire size.
-    std::size_t wire_bytes = total_bytes;
-    if (codec == CompressionAlgo::kFp16) {
-      wire_bytes = total_bytes / 2;
-    } else if (allgather_codec) {
-      std::vector<std::size_t> counts;
-      counts.reserve(names.size());
-      for (const std::string& name : names) {
-        counts.push_back(pending_.at(name).request.bytes / sizeof(float));
-      }
-      wire_bytes = codec == CompressionAlgo::kInt8
-                       ? GradientCompressor::int8_wire_bytes(counts)
-                       : GradientCompressor::topk_wire_bytes(counts, knobs_.topk_ratio);
-    }
-    stats_.bytes_on_wire += wire_bytes;
-    if (names.size() > 1 && comm_.timing_enabled()) {
-      comm_.compute(2.0 * copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-    }
-    if (allgather_codec) {
-      // Encode/decode sweeps over the full fp32 payload...
-      if (comm_.timing_enabled()) {
-        comm_.compute(2.0 * copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-      }
-      // ...then an allgather of one wire-sized blob per rank. A ring
-      // allgather moves (W-1)*B bytes per rank; a ring allreduce of
-      // W*B/2 moves the same volume, so that is how the payload-free
-      // engine prices it (always flat and ring: the blob exchange has no
-      // reduction to split hierarchically).
-      comm_.allreduce_sim(wire_bytes * static_cast<std::size_t>(comm_.size()) / 2,
-                          mpi::MemSpace::kDevice, mpi::AllreduceAlgo::kRing);
-    } else if (knobs_.hierarchical_allreduce) {
-      comm_.hierarchical_allreduce_sim(wire_bytes, mpi::MemSpace::kDevice, knobs_.algo);
-    } else {
-      comm_.allreduce_sim(wire_bytes, mpi::MemSpace::kDevice, knobs_.algo);
-    }
-  } else if (allgather_codec) {
-    // int8 / top-k: compressed blobs are not reducible on the wire
-    // (affine codes have per-rank scales, sparse sets differ), so the
-    // exchange is allgather + local dequantize-and-average. Error
-    // feedback happens inside encode (residual in, compression error
-    // out); decode averages all ranks' contributions in rank order.
-    std::vector<GradientCompressor::Chunk> chunks;
-    chunks.reserve(names.size());
-    for (const std::string& name : names) {
-      chunks.push_back({&name, pending_.at(name).request.data});
-    }
-    const auto pack_start = std::chrono::steady_clock::now();
-    const auto wire =
-        compressor_.encode(codec, chunks, knobs_.topk_ratio, knobs_.error_feedback);
-    stats_.compress_pack_s += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - pack_start).count();
-    stats_.bytes_on_wire += wire.size();
-    if (comm_.timing_enabled()) {
-      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-    }
-    gathered_.resize(wire.size() * static_cast<std::size_t>(comm_.size()));
-    comm_.allgather(wire, gathered_, mpi::MemSpace::kDevice);
-    const auto unpack_start = std::chrono::steady_clock::now();
-    compressor_.decode_average(codec, chunks, gathered_, comm_.size(), knobs_.topk_ratio);
-    stats_.compress_unpack_s += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - unpack_start).count();
-    if (comm_.timing_enabled()) {
-      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-    }
-  } else if (codec == CompressionAlgo::kFp16) {
-    // Compressed path: pack fp32 -> fp16 into the fusion buffer, allreduce
-    // halves with a half-sum reducer, expand-and-average back.
-    const std::size_t elements = total_bytes / sizeof(float);
-    stats_.bytes_on_wire += elements * 2;
-    if (fusion_buffer_.size_bytes() < elements * 2) fusion_buffer_.resize(elements * 2);
-    auto halves = fusion_buffer_.as<std::uint16_t>();
-    const auto pack_start = std::chrono::steady_clock::now();
+  // ---- pack ----
+  std::span<std::byte> wire;  // stays empty in a timing-only batch
+  const auto pack_start = std::chrono::steady_clock::now();
+  if (payload && in_place) {
+    wire = std::as_writable_bytes(chunks.front().data);
+  } else if (payload && layout.reducible) {
+    if (fusion_buffer_.size_bytes() < layout.wire_bytes) fusion_buffer_.resize(layout.wire_bytes);
+    wire = fusion_buffer_.bytes().first(layout.wire_bytes);
     std::size_t offset = 0;
-    for (const std::string& name : names) {
-      const auto data = pending_.at(name).request.data;
-      util::floats_to_halves(data.data(), halves.data() + offset, data.size());
-      offset += data.size();
+    for (const GradientCompressor::Chunk& chunk : chunks) {
+      if (codec == CompressionAlgo::kFp16) {
+        util::floats_to_halves(chunk.data.data(),
+                               reinterpret_cast<std::uint16_t*>(wire.data()) + offset,
+                               chunk.data.size());
+      } else {
+        std::copy(chunk.data.begin(), chunk.data.end(),
+                  reinterpret_cast<float*>(wire.data()) + offset);
+      }
+      offset += chunk.data.size();
     }
-    stats_.compress_pack_s += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - pack_start).count();
-    if (comm_.timing_enabled()) {
-      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-    }
-    static const mpi::Communicator::Reducer kHalfSum{2, &half_sum};
-    if (knobs_.hierarchical_allreduce) {
-      // Hierarchical path goes through the same custom reducer via the
-      // flat engine on each level; use flat allreduce for fp16 (the real
-      // implementation does the same: compression before MPI).
-      comm_.allreduce_custom(reinterpret_cast<std::byte*>(halves.data()), 2, offset, kHalfSum,
-                             mpi::MemSpace::kDevice, knobs_.algo);
-    } else {
-      comm_.allreduce_custom(reinterpret_cast<std::byte*>(halves.data()), 2, offset, kHalfSum,
-                             mpi::MemSpace::kDevice, knobs_.algo);
-    }
-    const auto unpack_start = std::chrono::steady_clock::now();
-    offset = 0;
-    for (const std::string& name : names) {
-      const auto data = pending_.at(name).request.data;
-      util::halves_to_floats_div(halves.data() + offset, data.data(),
-                                 data.size(), world);
-      offset += data.size();
-    }
-    stats_.compress_unpack_s += std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - unpack_start).count();
-    if (comm_.timing_enabled()) {
-      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-    }
-  } else if (names.size() == 1) {
-    // Single tensor: reduce in place (Horovod skips the fusion buffer).
-    stats_.bytes_on_wire += total_bytes;
-    Pending& entry = pending_.at(names.front());
-    if (knobs_.hierarchical_allreduce) {
-      comm_.hierarchical_allreduce(entry.request.data, mpi::ReduceOp::kSum,
-                                   mpi::MemSpace::kDevice, knobs_.algo);
-    } else {
-      comm_.allreduce(entry.request.data, mpi::ReduceOp::kSum, mpi::MemSpace::kDevice,
-                      knobs_.algo);
-    }
-    for (float& x : entry.request.data) x /= world;
-  } else {
-    // Pack -> one allreduce -> unpack-and-average.
-    stats_.bytes_on_wire += total_bytes;
-    if (fusion_buffer_.size_bytes() < total_bytes) fusion_buffer_.resize(total_bytes);
-    auto buffer = fusion_buffer_.as<float>();
-    std::size_t offset = 0;
-    for (const std::string& name : names) {
-      const Pending& entry = pending_.at(name);
-      std::copy(entry.request.data.begin(), entry.request.data.end(), buffer.begin() + offset);
-      offset += entry.request.data.size();
-    }
-    if (comm_.timing_enabled()) {
-      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
-    }
-    auto fused = buffer.subspan(0, offset);
-    if (knobs_.hierarchical_allreduce) {
-      comm_.hierarchical_allreduce(fused, mpi::ReduceOp::kSum, mpi::MemSpace::kDevice,
-                                   knobs_.algo);
-    } else {
-      comm_.allreduce(fused, mpi::ReduceOp::kSum, mpi::MemSpace::kDevice, knobs_.algo);
-    }
-    offset = 0;
-    for (const std::string& name : names) {
-      Pending& entry = pending_.at(name);
-      for (float& x : entry.request.data) x = buffer[offset++] / world;
-    }
-    if (comm_.timing_enabled()) {
-      comm_.compute(copy_model_.copy_time(total_bytes, gpu::CopyKind::kDeviceToDevice));
+  } else if (payload) {
+    // Error feedback happens inside encode (residual in, compression
+    // error out).
+    wire = compressor_.encode(codec, chunks, knobs_.topk_ratio, knobs_.error_feedback);
+    if (wire.size() != layout.wire_bytes) {
+      throw std::logic_error("hvd: encoded blob size differs from its priced wire layout");
     }
   }
+  if (codec != CompressionAlgo::kNone) stats_.compress_pack_s += seconds_since(pack_start);
+  charge_copy();
+
+  // ---- exchange ----
+  if (layout.reducible) {
+    comm_.allreduce_custom(wire.data(), layout.elem_size, layout.wire_bytes / layout.elem_size,
+                           codec == CompressionAlgo::kFp16 ? kHalfSum : kFloatSum,
+                           mpi::MemSpace::kDevice, knobs_.algo, knobs_.hierarchical_allreduce);
+  } else {
+    gathered_.resize(wire.size() * static_cast<std::size_t>(comm_.size()));
+    comm_.allgather(wire, gathered_, mpi::MemSpace::kDevice, layout.wire_bytes);
+  }
+
+  // ---- unpack and average ----
+  const auto unpack_start = std::chrono::steady_clock::now();
+  if (payload && !layout.reducible) {
+    // Every rank averages all contributions in rank order, so replicas
+    // stay bitwise identical.
+    compressor_.decode_average(codec, chunks, gathered_, comm_.size());
+  } else if (payload) {
+    std::size_t offset = 0;
+    for (const GradientCompressor::Chunk& chunk : chunks) {
+      if (codec == CompressionAlgo::kFp16) {
+        util::halves_to_floats_div(reinterpret_cast<const std::uint16_t*>(wire.data()) + offset,
+                                   chunk.data.data(), chunk.data.size(), world);
+      } else {
+        const float* summed = reinterpret_cast<const float*>(wire.data()) + offset;
+        for (std::size_t i = 0; i < chunk.data.size(); ++i) chunk.data[i] = summed[i] / world;
+      }
+      offset += chunk.data.size();
+    }
+  }
+  if (codec != CompressionAlgo::kNone) stats_.compress_unpack_s += seconds_since(unpack_start);
+  charge_copy();
 
   if (timeline_enabled_) {
     timeline_.push_back({exec_start, comm_.now(),
@@ -546,15 +509,10 @@ void HorovodRuntime::write_timeline(std::ostream& out) const {
 }
 
 void HorovodRuntime::synchronize() {
-  // Safety valve against mismatched submissions across ranks (the
-  // negotiation would otherwise spin forever). Overridable for tests and
-  // debugging via DLSCALE_HVD_MAX_CYCLES.
-  static const std::uint64_t max_cycles = static_cast<std::uint64_t>(
-      util::env_int("DLSCALE_HVD_MAX_CYCLES", 1'000'000));
   std::uint64_t local_cycles = 0;
   bool keep_going = true;
   while (keep_going) {
-    if (++local_cycles > max_cycles) {
+    if (++local_cycles > max_cycles_) {
       throw std::runtime_error(
           "hvd::synchronize: negotiation did not converge (mismatched submissions across "
           "ranks?)");

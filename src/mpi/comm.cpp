@@ -582,10 +582,11 @@ std::vector<std::vector<std::byte>> Communicator::gather_blobs(std::span<const s
 }
 
 void Communicator::allgather(std::span<const std::byte> mine, std::span<std::byte> out,
-                             MemSpace space) {
+                             MemSpace space, std::size_t logical_block) {
   ensure_live("allgather", -1);
   const int n = size();
   const std::size_t block = mine.size();
+  const std::size_t logical = logical_block == kAuto ? block : logical_block;
   if (out.size() != block * static_cast<std::size_t>(n)) {
     throw std::invalid_argument("allgather: out must hold size() blocks");
   }
@@ -600,7 +601,8 @@ void Communicator::allgather(std::span<const std::byte> mine, std::span<std::byt
     sendrecv(right, kTagAllgather + step,
              out.subspan(block * static_cast<std::size_t>(send_block), block), left,
              kTagAllgather + step,
-             out.subspan(block * static_cast<std::size_t>(recv_block), block), space);
+             out.subspan(block * static_cast<std::size_t>(recv_block), block), space, logical,
+             logical);
   }
 }
 
@@ -1120,9 +1122,13 @@ void Communicator::hierarchical_bytes(std::byte* data, std::size_t elem_size, st
 
 void Communicator::allreduce_custom(std::byte* data, std::size_t elem_size, std::size_t count,
                                     const Reducer& reducer, MemSpace space,
-                                    std::optional<AllreduceAlgo> algo) {
+                                    std::optional<AllreduceAlgo> algo, bool hierarchical) {
   if (reducer.elem_size != elem_size) {
     throw std::invalid_argument("allreduce_custom: reducer element size mismatch");
+  }
+  if (hierarchical) {
+    hierarchical_bytes(data, elem_size, count, &reducer, space, algo);
+    return;
   }
   const AllreduceAlgo chosen = algo.value_or(
       profile().allreduce_algo(count * elem_size, space == MemSpace::kDevice, size()));
@@ -1131,16 +1137,14 @@ void Communicator::allreduce_custom(std::byte* data, std::size_t elem_size, std:
 
 void Communicator::allreduce_sim(std::size_t bytes, MemSpace space,
                                  std::optional<AllreduceAlgo> algo) {
-  const std::size_t count = (bytes + 3) / 4;
-  const AllreduceAlgo chosen =
-      algo.value_or(profile().allreduce_algo(bytes, space == MemSpace::kDevice, size()));
-  allreduce_bytes(nullptr, 4, count, nullptr, space, chosen);
+  allreduce_custom(nullptr, 4, (bytes + 3) / 4, detail::make_reducer<float>(ReduceOp::kSum),
+                   space, algo);
 }
 
 void Communicator::hierarchical_allreduce_sim(std::size_t bytes, MemSpace space,
                                               std::optional<AllreduceAlgo> leader_algo) {
-  const std::size_t count = (bytes + 3) / 4;
-  hierarchical_bytes(nullptr, 4, count, nullptr, space, leader_algo);
+  allreduce_custom(nullptr, 4, (bytes + 3) / 4, detail::make_reducer<float>(ReduceOp::kSum),
+                   space, leader_algo, /*hierarchical=*/true);
 }
 
 Communicator Communicator::split(int color) {

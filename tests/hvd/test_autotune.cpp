@@ -187,14 +187,14 @@ TEST(CoordinateDescentPolicy, ProposalSequenceIsDeterministic) {
 
 TEST(CoordinateDescentPolicy, TuningNeverTouchesDataAffectingKnobs) {
   dh::Knobs base;
-  base.fp16_allreduce = true;
+  base.compression = dh::CompressionAlgo::kFp16;
   base.algo = dm::AllreduceAlgo::kRecursiveDoubling;
   base.response_cache = false;
   dh::CoordinateDescentPolicy policy(base, dh::TuningSpace{}, 0.02);
   while (const auto candidate = policy.propose()) {
     // Candidates explore fusion/cycle/hierarchical only; fp16, the forced
     // algorithm, and the cache setting ride along unchanged.
-    EXPECT_TRUE(candidate->fp16_allreduce);
+    EXPECT_EQ(candidate->compression, dh::CompressionAlgo::kFp16);
     ASSERT_TRUE(candidate->algo.has_value());
     EXPECT_EQ(*candidate->algo, dm::AllreduceAlgo::kRecursiveDoubling);
     EXPECT_FALSE(candidate->response_cache);
@@ -330,7 +330,7 @@ namespace {
 // fusion/cycle/hierarchy optimum above and prefers int8 on the wire.
 double codec_score(const dh::Knobs& knobs) {
   double score = synthetic_score(knobs);
-  switch (knobs.effective_compression()) {
+  switch (knobs.compression) {
     case dh::CompressionAlgo::kInt8: break;  // cheapest
     case dh::CompressionAlgo::kFp16: score += 0.05; break;
     case dh::CompressionAlgo::kNone: score += 0.2; break;
@@ -363,10 +363,7 @@ TEST(CoordinateDescentPolicy, ExploresCompressionAxisWhenOptedIn) {
     ASSERT_LT(++proposals, 200) << "policy does not terminate";
     policy.observe(measure_codec(*candidate));
   }
-  EXPECT_EQ(policy.best().effective_compression(), dh::CompressionAlgo::kInt8);
-  // The codec candidate owns the wire format outright: the legacy fp16
-  // flag must be cleared, not layered under the chosen codec.
-  EXPECT_FALSE(policy.best().fp16_allreduce);
+  EXPECT_EQ(policy.best().compression, dh::CompressionAlgo::kInt8);
   // The other axes still find the separable optimum.
   EXPECT_EQ(policy.best().fusion_threshold, std::size_t{8} << 20);
   EXPECT_TRUE(policy.best().hierarchical_allreduce);
@@ -374,12 +371,11 @@ TEST(CoordinateDescentPolicy, ExploresCompressionAxisWhenOptedIn) {
 
 TEST(CoordinateDescentPolicy, EmptyCompressionAxisNeverProposesCodecs) {
   // Default TuningSpace: tuning stays bitwise-invariant — no candidate
-  // may flip the wire codec or the fp16 flag.
+  // may flip the wire codec.
   dh::Knobs base = dh::Knobs::horovod_defaults();
   dh::CoordinateDescentPolicy policy(base, dh::TuningSpace{}, 0.02);
   while (const auto candidate = policy.propose()) {
     EXPECT_EQ(candidate->compression, dh::CompressionAlgo::kNone);
-    EXPECT_FALSE(candidate->fp16_allreduce);
     policy.observe(measure(*candidate));
   }
 }
@@ -397,7 +393,7 @@ TEST(GridSearchPolicy, GridCoversCompressionAxis) {
   EXPECT_EQ(proposals, space.combinations());
   // Every (fusion, cycle, hierarchy) cell is visited once per codec.
   EXPECT_EQ(int8_candidates, space.combinations() / space.compressions.size());
-  EXPECT_EQ(policy.best().effective_compression(), dh::CompressionAlgo::kInt8);
+  EXPECT_EQ(policy.best().compression, dh::CompressionAlgo::kInt8);
 }
 
 TEST(Autotuner, SurrogateCostPricesWireBytesNotLogicalBytes) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,7 @@ std::vector<float> round_trip(dh::GradientCompressor& compressor, dh::Compressio
                               float topk_ratio, bool error_feedback) {
   const dh::GradientCompressor::Chunk chunk{&name, grad};
   const auto wire = compressor.encode(algo, {&chunk, 1}, topk_ratio, error_feedback);
-  compressor.decode_average(algo, {&chunk, 1}, wire, /*world=*/1, topk_ratio);
+  compressor.decode_average(algo, {&chunk, 1}, wire, /*world=*/1);
   return grad;
 }
 
@@ -98,7 +99,6 @@ TEST(CompressEnv, FromEnvReadsCompressionKnobs) {
   ScopedEnv ef("DLSCALE_ERROR_FEEDBACK", "0");
   const auto knobs = dh::Knobs::from_env();
   EXPECT_EQ(knobs.compression, dh::CompressionAlgo::kInt8);
-  EXPECT_EQ(knobs.effective_compression(), dh::CompressionAlgo::kInt8);
   EXPECT_NEAR(knobs.topk_ratio, 0.05f, 1e-6f);
   EXPECT_FALSE(knobs.error_feedback);
 }
@@ -146,12 +146,34 @@ TEST(CompressEnv, TopkRatioOutOfRangeThrows) {
 }
 
 TEST(CompressKnobs, LegacyFp16FlagFoldsIntoEffectiveCodec) {
-  dh::Knobs knobs;
-  EXPECT_EQ(knobs.effective_compression(), dh::CompressionAlgo::kNone);
-  knobs.fp16_allreduce = true;
-  EXPECT_EQ(knobs.effective_compression(), dh::CompressionAlgo::kFp16);
-  knobs.compression = dh::CompressionAlgo::kTopK;  // explicit codec wins
-  EXPECT_EQ(knobs.effective_compression(), dh::CompressionAlgo::kTopK);
+  // HOROVOD_FP16_ALLREDUCE is Horovod's spelling of the fp16 codec: it
+  // selects kFp16 unless DLSCALE_GRAD_COMPRESSION names another codec.
+  struct Case {
+    const char* fp16;   // nullptr = unset
+    const char* codec;  // nullptr = unset
+    dh::CompressionAlgo want;
+  };
+  const Case cases[] = {
+      {nullptr, nullptr, dh::CompressionAlgo::kNone},
+      {nullptr, "none", dh::CompressionAlgo::kNone},
+      {nullptr, "int8", dh::CompressionAlgo::kInt8},
+      {"1", nullptr, dh::CompressionAlgo::kFp16},
+      {"1", "none", dh::CompressionAlgo::kFp16},
+      {"1", "int8", dh::CompressionAlgo::kInt8},
+  };
+  for (const Case& c : cases) {
+    std::optional<ScopedEnv> fp16, codec;
+    if (c.fp16) fp16.emplace("HOROVOD_FP16_ALLREDUCE", c.fp16);
+    if (c.codec) codec.emplace("DLSCALE_GRAD_COMPRESSION", c.codec);
+    EXPECT_EQ(dh::Knobs::from_env().compression, c.want)
+        << "HOROVOD_FP16_ALLREDUCE=" << (c.fp16 ? c.fp16 : "(unset)")
+        << " DLSCALE_GRAD_COMPRESSION=" << (c.codec ? c.codec : "(unset)");
+  }
+  // An explicit default codec is kept too: the flag only fills in kNone.
+  ScopedEnv fp16("HOROVOD_FP16_ALLREDUCE", "1");
+  dh::Knobs defaults;
+  defaults.compression = dh::CompressionAlgo::kTopK;
+  EXPECT_EQ(dh::Knobs::from_env(defaults).compression, dh::CompressionAlgo::kTopK);
 }
 
 // ---- GradientCompressor round trips ----

@@ -370,7 +370,7 @@ TEST(Horovod, StallCheckDisabledByZero) {
 TEST(Horovod, Fp16AllreduceAveragesWithinHalfPrecision) {
   dm::run_world(summit(1, /*timing=*/false), [](dm::Communicator& comm) {
     dh::Knobs knobs;
-    knobs.fp16_allreduce = true;
+    knobs.compression = dh::CompressionAlgo::kFp16;
     knobs.cycle_time_s = 1e-4;
     dh::HorovodRuntime runtime(comm, knobs);
     auto g1 = rank_values(comm.rank(), 500, 21);
@@ -394,7 +394,7 @@ TEST(Horovod, Fp16HalvesSimulatedWireTime) {
     double t = 0.0;
     dm::run_world(summit(2), [&](dm::Communicator& comm) {
       dh::Knobs knobs;
-      knobs.fp16_allreduce = fp16;
+      knobs.compression = fp16 ? dh::CompressionAlgo::kFp16 : dh::CompressionAlgo::kNone;
       knobs.cycle_time_s = 1e-4;
       dh::HorovodRuntime runtime(comm, knobs);
       runtime.submit({"fp16/sim", {}, 64 << 20, 0.0});
@@ -411,7 +411,7 @@ TEST(Horovod, Fp16HalvesSimulatedWireTime) {
 
 TEST(Knobs, Fp16FromEnv) {
   ScopedEnv fp16("HOROVOD_FP16_ALLREDUCE", "1");
-  EXPECT_TRUE(dh::Knobs::from_env().fp16_allreduce);
+  EXPECT_EQ(dh::Knobs::from_env().compression, dh::CompressionAlgo::kFp16);
 }
 
 TEST(Horovod, MismatchedSubmissionsFailLoudly) {
@@ -433,4 +433,26 @@ TEST(Horovod, MismatchedSubmissionsFailLoudly) {
                       runtime.synchronize();
                     }),
       std::runtime_error);
+}
+
+TEST(Horovod, NonPositiveMaxCyclesThrowsNamingTheVariable) {
+  for (const char* value : {"0", "-5"}) {
+    ScopedEnv budget("DLSCALE_HVD_MAX_CYCLES", value);
+    try {
+      dm::run_world(1, [](dm::Communicator& comm) { dh::HorovodRuntime runtime(comm, {}); });
+      FAIL() << "DLSCALE_HVD_MAX_CYCLES=" << value << " accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("DLSCALE_HVD_MAX_CYCLES"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Horovod, SubmitRejectsBytesThatDisagreeWithThePayload) {
+  dm::run_world(1, [](dm::Communicator& comm) {
+    dh::HorovodRuntime runtime(comm, {});
+    std::vector<float> g(16, 1.0f);
+    EXPECT_THROW(runtime.submit({"g", std::span<float>(g), 8 * sizeof(float)}),
+                 std::invalid_argument);
+  });
 }

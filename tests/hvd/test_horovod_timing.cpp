@@ -147,6 +147,63 @@ TEST(HvdTiming, CacheReducesControlTraffic) {
   EXPECT_LT(control_bytes_for(true), control_bytes_for(false));
 }
 
+TEST(HorovodTiming, TimingOnlyPricesLikePayload) {
+  // A timing-only batch must cost exactly what the same batch costs with
+  // real floats: same virtual clock, same wire bytes — for every codec,
+  // flat and hierarchical, one tensor and a fused batch.
+  struct Cost {
+    double now = 0.0;
+    std::uint64_t wire_bytes = 0;
+  };
+  auto run = [](const dh::Knobs& knobs, int tensors, bool payload) {
+    Cost cost;
+    dm::WorldOptions options;
+    options.topology = dn::Topology(2, 2, 1);
+    // simmpi books NIC rails and bumps rendezvous senders' clocks in
+    // thread order, so a contended run's virtual time varies run to run.
+    // All-eager messages on more rails than concurrent transfers make it
+    // a pure function of the calls made, which is what this compares.
+    options.profile = dn::MpiProfile::mvapich2_gdr_like();
+    options.profile.eager_threshold_device = ~std::size_t{0};
+    options.profile.eager_threshold_host = ~std::size_t{0};
+    options.profile.rails = 8;
+    options.timing = true;
+    dm::run_world(options, [&](dm::Communicator& comm) {
+      dh::HorovodRuntime runtime(comm, knobs);
+      std::vector<std::vector<float>> grads(static_cast<std::size_t>(tensors));
+      for (int t = 0; t < tensors; ++t) {
+        // 70000 floats crosses the pipelined hierarchical threshold.
+        auto& grad = grads[static_cast<std::size_t>(t)];
+        grad.assign(t == 0 ? 70000 : 1000 + 333 * static_cast<std::size_t>(t),
+                    0.01f * static_cast<float>(comm.rank() + t + 1));
+        runtime.submit({"grad/t" + std::to_string(t),
+                        payload ? std::span<float>(grad) : std::span<float>{},
+                        grad.size() * sizeof(float), 0.0});
+      }
+      runtime.synchronize();
+      if (comm.rank() == 0) cost = {comm.now(), runtime.stats().bytes_on_wire};
+    });
+    return cost;
+  };
+  for (const auto codec : {dh::CompressionAlgo::kNone, dh::CompressionAlgo::kFp16,
+                           dh::CompressionAlgo::kInt8, dh::CompressionAlgo::kTopK}) {
+    for (const bool hierarchical : {false, true}) {
+      for (const int tensors : {1, 3}) {
+        dh::Knobs knobs;
+        knobs.cycle_time_s = 1e-4;
+        knobs.compression = codec;
+        knobs.hierarchical_allreduce = hierarchical;
+        const Cost with_data = run(knobs, tensors, true);
+        const Cost timing_only = run(knobs, tensors, false);
+        SCOPED_TRACE(std::string(dh::to_string(codec)) + (hierarchical ? " hier " : " flat ") +
+                     std::to_string(tensors) + " tensor(s)");
+        EXPECT_DOUBLE_EQ(timing_only.now, with_data.now);
+        EXPECT_EQ(timing_only.wire_bytes, with_data.wire_bytes);
+      }
+    }
+  }
+}
+
 TEST(HvdTiming, OverlapHidesCommunicationBehindBackward) {
   // Gradients arriving over a long backward pass should mostly overlap
   // with communication: total time ~ backward duration + tail, far below

@@ -3,34 +3,16 @@
 // reference (unserved) forward to compare served results against.
 #pragma once
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 
 #include "dlscale/models/deeplab.hpp"
 #include "dlscale/train/checkpoint.hpp"
 #include "dlscale/util/rng.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dlscale::serve_testing {
 
-// ctest runs each gtest case as its own process, so parameterized
-// instantiations of one test can run concurrently; the filename must be
-// unique per process (and per use within a process) or one process's
-// TempFile destructor deletes the checkpoint another is still loading.
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name) {
-    static std::atomic<unsigned> counter{0};
-    path = (std::filesystem::temp_directory_path() /
-            ("dlscale_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter.fetch_add(1)) + "_" + name))
-               .string();
-  }
-  ~TempFile() { std::remove(path.c_str()); }
-};
+using dlscale::testing::TempFile;
 
 inline models::MiniDeepLabV3Plus::Config small_config() {
   return {.in_channels = 3, .num_classes = 4, .input_size = 16, .width = 4};

@@ -9,20 +9,12 @@
 
 #include "dlscale/models/deeplab.hpp"
 #include "dlscale/train/trainer.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dt = dlscale::train;
 namespace dmo = dlscale::models;
 
-namespace {
-
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
-
-}  // namespace
+using dlscale::testing::TempFile;
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
   TempFile file("dlscale_ckpt_roundtrip.bin");

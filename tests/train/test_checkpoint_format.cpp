@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,19 +16,15 @@
 #include "dlscale/models/deeplab.hpp"
 #include "dlscale/util/bf16.hpp"
 #include "dlscale/util/rng.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dtr = dlscale::train;
 namespace dmo = dlscale::models;
 namespace du = dlscale::util;
 
-namespace {
+using dlscale::testing::TempFile;
 
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
+namespace {
 
 dmo::MiniDeepLabV3Plus small_model(std::uint64_t seed) {
   du::Rng rng(seed);

@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -17,19 +15,14 @@
 #include "dlscale/train/elastic.hpp"
 #include "dlscale/train/trainer.hpp"
 #include "../support/simd_param.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dh = dlscale::hvd;
 namespace dm = dlscale::mpi;
 namespace dt = dlscale::train;
+using dlscale::testing::TempFile;
 
 namespace {
-
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
 
 dm::WorldOptions functional_world(int ranks) {
   dm::WorldOptions options;
@@ -66,7 +59,13 @@ double distributed_miou(int ranks, const dt::TrainConfig& config) {
 
 }  // namespace
 
-class CompressionMiou : public dlscale::testing::SimdLevelTest {};
+class CompressionMiou : public dlscale::testing::SimdLevelTest {
+ protected:
+  /// Per-parameter file tag: the scalar and avx2 twins may run at once.
+  [[nodiscard]] std::string param_tag() const {
+    return dlscale::util::simd_level_name(GetParam());
+  }
+};
 
 TEST_P(CompressionMiou, ParityGateInt8AndTopKTrackFp32) {
   // The issue's acceptance bar: absolute mIOU drop <= 0.02 vs fp32 with
@@ -109,7 +108,7 @@ TEST_P(CompressionMiou, ResidualStateSurvivesCheckpointRestore) {
   // residuals), finish, and land within 0.02 of the uninterrupted
   // int8 run.
   const dt::TrainConfig config = tiny_config(dh::CompressionAlgo::kInt8);
-  TempFile ckpt("dlscale_compress_restore.bin");
+  TempFile ckpt(param_tag() + "_compress_restore.bin");
 
   const double uninterrupted = distributed_miou(2, config);
 
@@ -161,9 +160,9 @@ TEST_P(CompressionMiou, ElasticShrinkUnderInt8ConvergesLikeFp32Elastic) {
   };
 
   const double fp32 =
-      elastic_miou(tiny_config(dh::CompressionAlgo::kNone), "dlscale_compress_elastic_fp32.bin");
+      elastic_miou(tiny_config(dh::CompressionAlgo::kNone), param_tag() + "_compress_elastic_fp32.bin");
   const double int8 =
-      elastic_miou(tiny_config(dh::CompressionAlgo::kInt8), "dlscale_compress_elastic_int8.bin");
+      elastic_miou(tiny_config(dh::CompressionAlgo::kInt8), param_tag() + "_compress_elastic_int8.bin");
   ASSERT_GE(fp32, 0.0);
   ASSERT_GE(int8, 0.0);
   EXPECT_GE(int8, fp32 - 0.02);

@@ -7,8 +7,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -19,18 +17,14 @@
 #include "dlscale/train/elastic.hpp"
 #include "dlscale/train/trainer.hpp"
 #include "../support/simd_param.hpp"
+#include "../support/temp_file.hpp"
 
 namespace dm = dlscale::mpi;
 namespace dt = dlscale::train;
 
-namespace {
+using dlscale::testing::TempFile;
 
-struct TempFile {
-  std::string path;
-  explicit TempFile(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / name).string()) {}
-  ~TempFile() { std::remove(path.c_str()); }
-};
+namespace {
 
 dm::WorldOptions functional_world(int ranks) {
   dm::WorldOptions options;
