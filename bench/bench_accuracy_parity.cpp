@@ -44,7 +44,8 @@ int main() {
   // Serial reference: single process, global batch 8.
   auto serial_config = make_config();
   serial_config.batch_per_rank = 8;
-  const auto serial = train::train_serial(serial_config, 1);
+  train::NoComm serial_hook;
+  const auto serial = train::Trainer(serial_config, serial_hook).run();
   table.add_row({"serial (1 process)", "8", util::Table::num(static_cast<long long>(serial.steps)),
                  util::Table::num(serial.epochs.back().train_loss, 4),
                  util::Table::pct(serial.final_miou()),
@@ -61,7 +62,8 @@ int main() {
     options.profile = net::MpiProfile::mvapich2_gdr_like();
     options.timing = false;
     mpi::run_world(options, [&](mpi::Communicator& comm) {
-      auto result = train::train_distributed(comm, config);
+      train::HorovodHook hook(comm, config);
+      auto result = train::Trainer(config, hook).run();
       if (comm.rank() == 0) report = std::move(result);
     });
     table.add_row({std::to_string(world) + " ranks (Horovod)", "8",

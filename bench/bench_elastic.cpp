@@ -51,7 +51,9 @@ int main() {
   {
     mpi::WorldOptions options = world_options();
     mpi::run_world(options, [&](mpi::Communicator& comm) {
-      auto result = train::train_distributed(comm, make_config());
+      const train::TrainConfig config = make_config();
+      train::HorovodHook hook(comm, config);
+      auto result = train::Trainer(config, hook).run();
       if (comm.rank() == 0) healthy = std::move(result);
     });
   }

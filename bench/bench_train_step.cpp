@@ -53,7 +53,8 @@ void BM_TrainEpochDistributed(benchmark::State& state) {
   const auto config = bench_config(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     dm::run_world(2, [&](dm::Communicator& comm) {
-      benchmark::DoNotOptimize(dt::train_distributed(comm, config));
+      dt::HorovodHook hook(comm, config);
+      benchmark::DoNotOptimize(dt::Trainer(config, hook).run());
     });
   }
   state.SetItemsProcessed(state.iterations());

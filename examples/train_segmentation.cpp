@@ -161,7 +161,8 @@ int main(int argc, char** argv) {
         recoveries = elastic.recoveries();
       }
     } else {
-      auto result = train::train_distributed(comm, config);
+      train::HorovodHook hook(comm, config);
+      auto result = train::Trainer(config, hook).run();
       if (comm.rank() == 0) report = std::move(result);
     }
   });

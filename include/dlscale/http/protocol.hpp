@@ -220,7 +220,6 @@ struct ModelStatsJson {
   std::string precision = "fp32";
   int model_version = 0;
   std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
   std::uint64_t rejected_full = 0;
   std::uint64_t rejected_closed = 0;
   std::uint64_t completed = 0;
@@ -240,7 +239,6 @@ struct ModelStatsJson {
         json::field("precision", &ModelStatsJson::precision),
         json::field("model_version", &ModelStatsJson::model_version),
         json::field("accepted", &ModelStatsJson::accepted),
-        json::field("rejected", &ModelStatsJson::rejected),
         json::field("rejected_full", &ModelStatsJson::rejected_full),
         json::field("rejected_closed", &ModelStatsJson::rejected_closed),
         json::field("completed", &ModelStatsJson::completed),

@@ -71,10 +71,8 @@ enum class RejectReason {
 /// Point-in-time counters + latency percentiles (microseconds).
 struct ServerStats {
   std::uint64_t accepted = 0;
-  /// Shed at admission: `rejected` stays the total for compatibility and
-  /// always equals rejected_full + rejected_closed; the split is what
-  /// operators act on (full = add capacity, closed = expected drain).
-  std::uint64_t rejected = 0;
+  /// Shed at admission, split by what operators act on (full = add
+  /// capacity, closed = expected drain).
   std::uint64_t rejected_full = 0;    ///< queue overflow (load shedding)
   std::uint64_t rejected_closed = 0;  ///< admissions after shutdown began
   std::uint64_t completed = 0;

@@ -1,7 +1,7 @@
 // Elastic fault-tolerant training (DESIGN.md §11).
 //
-// ElasticTrainer wraps the Trainer/CommHook stack so a rank failure is a
-// recoverable event instead of a crash. The recovery protocol, run by
+// ElasticTrainer drives a Trainer over a HorovodHook so a rank failure is
+// a recoverable event instead of a crash. The recovery protocol, run by
 // every survivor when mpi::RankFailed escapes the epoch loop:
 //
 //   1. shrink      — survivors collectively rebuild a smaller
@@ -14,17 +14,18 @@
 //                    all survivors restore — or restart — in lockstep;
 //   3. rebuild     — HorovodHook::rebind constructs a fresh
 //                    HorovodRuntime over the shrunken communicator
-//                    (current knobs carried over), the Autotuner rebinds
-//                    and resets its measurement window, and every
-//                    CommHook observes on_world_change(WorldInfo);
+//                    (current knobs carried over) and re-points the
+//                    hook's Autotuner, if any, at it;
 //   4. restore     — a fresh Trainer at the new world size loads the last
 //                    Trainer::save_state checkpoint (bitwise-identical to
 //                    a clean (N-1)-rank load of the same file; progress
 //                    counters resume at the checkpointed step), with the
 //                    learning rate rescaled linearly to the shrunken
 //                    effective batch;
-//   5. continue    — the epoch loop re-enters; replayed epochs overwrite
-//                    their earlier (pre-failure) reports.
+//   5. continue    — the hook observes on_world_change(WorldInfo), which
+//                    drops compression residuals and restarts the tuner's
+//                    measurement window; the epoch loop re-enters, and
+//                    replayed epochs overwrite their pre-failure reports.
 //
 // Fail-stop only: a dead rank never comes back; recovery always shrinks.
 #pragma once
@@ -104,8 +105,6 @@ class ElasticTrainer {
                                                      int reference_size, bool rescale_lr = true);
 
  private:
-  void build_stack();                 ///< (re)build hook / tuner / trainer over comm_
-  [[nodiscard]] CommHook& active_hook();
   void maybe_checkpoint();
   void recover(const mpi::RankFailed& failure);
 
@@ -113,8 +112,6 @@ class ElasticTrainer {
   int initial_size_;
   mpi::Communicator comm_;            ///< value copy; reassigned by shrink
   std::optional<HorovodHook> hook_;
-  std::optional<hvd::Autotuner> tuner_;
-  std::optional<AutotuneHook> tuned_;
   std::optional<Trainer> trainer_;
   TrainConfig active_config_;         ///< config_.train rescaled to comm_.size()
   std::map<int, EpochReport> epochs_; ///< by epoch; replays overwrite

@@ -36,8 +36,8 @@ namespace dlscale::train {
 /// Storage strategy for step activations (DESIGN.md §10).
 enum class MemoryMode {
   kOwning,   ///< every Tensor owns heap storage (pre-arena behaviour)
-  kArena,    ///< activations borrow from a per-trainer bump arena, reset per step
-  kPlanned,  ///< kArena + liveness plan: step 1 is traced, packed, and replayed
+  kPlanned,  ///< activations borrow from a per-trainer arena under a liveness
+             ///< plan: step 1 is traced, packed, and replayed
 };
 
 /// Configuration of one training run.
@@ -63,9 +63,9 @@ struct TrainConfig {
   /// Fraction of V100 peak the backward kernels sustain in the roofline
   /// model that stamps virtual gradient ready times during backward.
   double virtual_flop_efficiency = 0.25;
-  /// Online knob autotuning (hvd::Autotuner). When enabled,
-  /// train_distributed wraps its HorovodHook in an AutotuneHook; `knobs`
-  /// above is the starting point the tuner explores from.
+  /// Online knob autotuning (hvd::Autotuner). When enabled, HorovodHook
+  /// owns a tuner over its runtime and feeds it every completed step;
+  /// `knobs` above is the starting point the tuner explores from.
   hvd::AutotuneOptions autotune{};
   /// Activation storage strategy. kPlanned traces the first step, packs a
   /// liveness plan (tensor::MemoryPlanner), and replays it every
@@ -159,10 +159,10 @@ struct WorldInfo {
 ///      communication; on return every param.grad holds the
 ///      world-averaged value.
 ///
-/// Implementations: HorovodHook (data-parallel gradient averaging),
-/// NoComm (serial reference), AutotuneHook (decorator adding online knob
-/// tuning at step boundaries). Decorators forward all callbacks to the
-/// wrapped hook; note the inner hook's own sink delivers gradients to the
+/// Implementations: HorovodHook (data-parallel gradient averaging, plus
+/// online knob tuning when TrainConfig::autotune is enabled) and NoComm
+/// (serial reference). A decorator must forward every callback to the
+/// wrapped hook; the inner hook's own sink delivers gradients to the
 /// inner hook directly, so a decorator that must see every gradient
 /// should wrap the sink returned by the inner on_step_begin as well.
 class CommHook {
@@ -197,8 +197,8 @@ class CommHook {
   /// clock — measurement windows, cached rank/size, per-rank buffers —
   /// must be reset here. Collective: every survivor must call it, in the
   /// same order relative to other collectives, because implementations
-  /// may resynchronise state over the new communicator (AutotuneHook
-  /// re-broadcasts the tuner's knobs from rank 0).
+  /// may resynchronise state over the new communicator (HorovodHook's
+  /// tuner re-broadcasts its knobs from rank 0).
   virtual void on_world_change(const WorldInfo& /*info*/) {}
 };
 
@@ -220,7 +220,9 @@ class NoComm final : public CommHook {
 /// TimedGradStream to the communicator clock; the stream delivers each
 /// finalized gradient to on_gradient, which submits {name, grad, bytes,
 /// staggered ready_at} to the runtime; on_step_end synchronizes
-/// (gradient averaging).
+/// (gradient averaging). When config.autotune.enabled, the hook owns an
+/// hvd::Autotuner over its runtime and feeds it each completed step after
+/// the synchronize, so it re-tunes at measurement-window boundaries.
 class HorovodHook final : public CommHook {
  public:
   HorovodHook(mpi::Communicator& comm, const TrainConfig& config);
@@ -237,9 +239,8 @@ class HorovodHook final : public CommHook {
 
   /// Re-point the hook at a rebuilt (shrunken) communicator: constructs a
   /// fresh HorovodRuntime over it, carrying the current knobs forward
-  /// (so autotuned settings survive the failure). The caller owns firing
-  /// on_world_change afterwards; anything holding a reference to
-  /// runtime() must rebind too (hvd::Autotuner::rebind).
+  /// (so autotuned settings survive the failure), and re-points the tuner
+  /// at it. The caller owns firing on_world_change afterwards.
   void rebind(mpi::Communicator& comm);
 
   /// Drop the gradient-compression residuals (DESIGN.md §12): they carry
@@ -247,58 +248,22 @@ class HorovodHook final : public CommHook {
   /// parameter trajectory, so replaying them after an elastic shrink or a
   /// checkpoint restore would bias the first post-recovery steps. rebind()
   /// already starts from a fresh runtime (empty residuals); this makes the
-  /// reset explicit for world changes that reuse the runtime.
+  /// reset explicit for world changes that reuse the runtime. Then the
+  /// tuner, if any, restarts its measurement window (collective).
   void on_world_change(const WorldInfo& info) override;
 
   [[nodiscard]] hvd::HorovodRuntime& runtime() noexcept { return *runtime_; }
   [[nodiscard]] mpi::Communicator& comm() noexcept { return *comm_; }
+  /// The online knob tuner, or nullptr when config.autotune is disabled.
+  [[nodiscard]] hvd::Autotuner* tuner() noexcept { return tuner_ ? &*tuner_ : nullptr; }
 
  private:
   // Pointer + optional (not reference + value) so rebind() can retarget
   // both after an elastic shrink.
   mpi::Communicator* comm_;
   std::optional<hvd::HorovodRuntime> runtime_;
+  std::optional<hvd::Autotuner> tuner_;  ///< after runtime_: destroyed first
   TimedGradStream stream_;
-};
-
-/// Decorator adding online knob tuning to any CommHook: forwards every
-/// callback to the wrapped hook, then feeds each completed step to the
-/// Autotuner, which re-tunes the underlying runtime at measurement-window
-/// boundaries. Composes rather than specializes — the Trainer sees one
-/// CommHook either way.
-class AutotuneHook final : public CommHook {
- public:
-  AutotuneHook(CommHook& inner, hvd::Autotuner& tuner) : inner_(inner), tuner_(tuner) {}
-
-  [[nodiscard]] int rank() const override { return inner_.rank(); }
-  [[nodiscard]] int size() const override { return inner_.size(); }
-  void broadcast_parameters(const std::vector<nn::Parameter*>& params) override {
-    inner_.broadcast_parameters(params);
-  }
-  nn::GradSink* on_step_begin() override { return inner_.on_step_begin(); }
-  void on_gradient(nn::Parameter& param, double ready_at) override {
-    inner_.on_gradient(param, ready_at);
-  }
-  void on_step_end() override {
-    inner_.on_step_end();
-    tuner_.step_end();
-  }
-  void allreduce_sum(std::span<double> values) override { inner_.allreduce_sum(values); }
-  void allreduce_sum(std::span<std::int64_t> values) override { inner_.allreduce_sum(values); }
-  [[nodiscard]] hvd::RuntimeStats stats() const override { return inner_.stats(); }
-  void on_world_change(const WorldInfo& info) override {
-    // Order matters: the inner hook rebuilds its runtime state first, then
-    // the tuner restarts its measurement window against the new runtime
-    // (the caller has already called tuner().rebind()).
-    inner_.on_world_change(info);
-    tuner_.on_world_change();
-  }
-
-  [[nodiscard]] hvd::Autotuner& tuner() noexcept { return tuner_; }
-
- private:
-  CommHook& inner_;
-  hvd::Autotuner& tuner_;
 };
 
 /// One data-parallel training run on this rank. Collective when driven by
@@ -332,9 +297,9 @@ class Trainer {
   [[nodiscard]] long steps_per_epoch() const noexcept { return steps_per_epoch_; }
   [[nodiscard]] int next_epoch() const noexcept { return next_epoch_; }
 
-  /// Arena backing the step activations (kArena/kPlanned modes). Under
-  /// kPlanned, step_arena().plan() exposes the installed liveness plan —
-  /// packed peak vs naive sum — once a step has been traced.
+  /// Arena backing the step activations under kPlanned: plan() exposes
+  /// the installed liveness plan — packed peak vs naive sum — once a step
+  /// has been traced.
   [[nodiscard]] const util::Arena& step_arena() const noexcept { return step_arena_; }
 
  private:
@@ -359,22 +324,6 @@ class Trainer {
   util::Arena eval_arena_;    ///< bump arena for eval forwards, reset per batch
   tensor::Shape traced_shape_;  ///< batch shape the installed plan covers
 };
-
-/// DEPRECATED compatibility shim — prefer composing a Trainer with a
-/// CommHook directly (HorovodHook, optionally wrapped in AutotuneHook);
-/// see README "Training API". Kept as a thin wrapper because existing
-/// benches/tests call it; behaviour is unchanged. Runs data-parallel
-/// training of the mini DeepLab-v3+ on this rank (honouring
-/// config.autotune). Collective: every rank of `comm` must call with the
-/// same config. The returned report is metric-reduced and identical on
-/// all ranks.
-TrainReport train_distributed(mpi::Communicator& comm, const TrainConfig& config);
-
-/// DEPRECATED compatibility shim — prefer `Trainer` over a `NoComm` hook
-/// (see README "Training API"). Serial reference: equivalent
-/// single-process training with global batch = batch_per_rank *
-/// world_size (for the parity experiment E6).
-TrainReport train_serial(const TrainConfig& config, int equivalent_world);
 
 /// Evaluate a model on the held-out slice; returns (miou, pixel_acc).
 std::pair<double, double> evaluate(models::MiniDeepLabV3Plus& model,

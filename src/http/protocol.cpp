@@ -79,7 +79,6 @@ ModelStatsJson to_stats_json(const std::string& name, const serve::ServerStats& 
   out.precision = stats.precision;
   out.model_version = stats.model_version;
   out.accepted = stats.accepted;
-  out.rejected = stats.rejected;
   out.rejected_full = stats.rejected_full;
   out.rejected_closed = stats.rejected_closed;
   out.completed = stats.completed;

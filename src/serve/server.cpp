@@ -186,7 +186,6 @@ ServerStats Server::stats() const {
   s.accepted = accepted_;
   s.rejected_full = rejected_full_;
   s.rejected_closed = rejected_closed_;
-  s.rejected = rejected_full_ + rejected_closed_;  // compatibility sum
   s.completed = completed_;
   s.batches = batches_;
   s.reloads = reloads_;

@@ -71,22 +71,10 @@ TrainConfig ElasticTrainer::rescale_for_world(const TrainConfig& config, int new
 
 ElasticTrainer::ElasticTrainer(mpi::Communicator& world, ElasticConfig config)
     : config_(std::move(config)), initial_size_(world.size()), comm_(world) {
-  build_stack();
-}
-
-CommHook& ElasticTrainer::active_hook() {
-  return tuned_ ? static_cast<CommHook&>(*tuned_) : *hook_;
-}
-
-void ElasticTrainer::build_stack() {
   active_config_ =
       rescale_for_world(config_.train, comm_.size(), initial_size_, config_.rescale_lr);
   hook_.emplace(comm_, active_config_);
-  if (active_config_.autotune.enabled) {
-    tuner_.emplace(hook_->runtime(), active_config_.autotune);
-    tuned_.emplace(*hook_, *tuner_);
-  }
-  trainer_.emplace(active_config_, active_hook());
+  trainer_.emplace(active_config_, *hook_);
 }
 
 void ElasticTrainer::maybe_checkpoint() {
@@ -121,10 +109,9 @@ void ElasticTrainer::recover(const mpi::RankFailed& failure) {
   mine.have_checkpoint = have_checkpoint_ ? 1 : 0;
   const bool restore = agree_on_restore(comm_, config_.checkpoint_path, mine);
 
-  // 3. rebuild: fresh runtime over the shrunken communicator. The tuner
-  // must rebind before anything touches the old runtime's corpse.
+  // 3. rebuild: fresh runtime (and re-pointed tuner) over the shrunken
+  // communicator.
   hook_->rebind(comm_);
-  if (tuner_) tuner_->rebind(hook_->runtime());
 
   // 4. restore: a fresh Trainer at the new world size (fresh sampler and
   // steps_per_epoch), then the checkpoint — the exact state a clean
@@ -132,20 +119,20 @@ void ElasticTrainer::recover(const mpi::RankFailed& failure) {
   // from scratch at the new size.
   active_config_ =
       rescale_for_world(config_.train, comm_.size(), initial_size_, config_.rescale_lr);
-  trainer_.emplace(active_config_, active_hook());
+  trainer_.emplace(active_config_, *hook_);
   if (restore) trainer_->load_state(config_.checkpoint_path);
   event.restored_from_checkpoint = restore;
   event.resumed_step = trainer_->global_step();
   event.resumed_epoch = trainer_->next_epoch();
   event.steps_replayed = std::max(0L, event.step_at_failure - event.resumed_step);
 
-  // 5. notify: every hook in the chain observes the rebuilt world.
+  // 5. notify: the hook observes the rebuilt world.
   WorldInfo info;
   info.old_size = event.old_size;
   info.new_size = event.new_size;
   info.my_rank = comm_.rank();
   info.world_epoch = comm_.world_epoch();
-  active_hook().on_world_change(info);
+  hook_->on_world_change(info);
 
   event.virtual_time_s = comm_.now();
   event.wall_recovery_s =
@@ -177,7 +164,7 @@ TrainReport ElasticTrainer::run() {
   for (const auto& [epoch, entry] : epochs_) report.epochs.push_back(entry);
   report.parameter_count = trainer_->report().parameter_count;
   report.steps = trainer_->global_step();
-  report.hvd_stats = active_hook().stats();
+  report.hvd_stats = hook_->stats();
   return report;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "dlscale/tensor/ops.hpp"
@@ -24,28 +25,38 @@ models::MiniDeepLabV3Plus make_model(const TrainConfig& config, int rank) {
   return models::MiniDeepLabV3Plus(config.model, init_rng);
 }
 
+// The one eval loop: scores `indices` in batches of `batch_size` into
+// `confusion`. Each batch's forward borrows from `arena`, reset per batch.
+void score(models::MiniDeepLabV3Plus& model, const data::SyntheticShapes& dataset,
+           const std::vector<std::uint64_t>& indices, int batch_size, util::Arena& arena,
+           data::ConfusionMatrix& confusion) {
+  const auto step = static_cast<std::size_t>(std::max(1, batch_size));
+  std::vector<std::uint64_t> batch_ids;
+  std::vector<int> pred;  // reused across batches to avoid per-batch allocation
+  for (std::size_t begin = 0; begin < indices.size(); begin += step) {
+    const std::size_t end = std::min(begin + step, indices.size());
+    batch_ids.assign(indices.begin() + static_cast<std::ptrdiff_t>(begin),
+                     indices.begin() + static_cast<std::ptrdiff_t>(end));
+    const data::Sample batch = dataset.make_batch(batch_ids);
+    arena.reset();
+    util::ArenaScope scope(arena);
+    const tensor::Tensor logits = model.forward(batch.image, /*train=*/false);
+    tensor::argmax_channels(logits, pred);
+    confusion.update(pred, batch.labels, kIgnoreLabel);
+  }
+}
+
 }  // namespace
 
 std::pair<double, double> evaluate(models::MiniDeepLabV3Plus& model,
                                    const data::SyntheticShapes& dataset,
                                    std::uint64_t first_index, std::uint64_t count,
                                    int batch_size) {
+  std::vector<std::uint64_t> indices(count);
+  std::iota(indices.begin(), indices.end(), first_index);
   data::ConfusionMatrix confusion(dataset.config().num_classes);
-  std::vector<std::uint64_t> indices;
-  std::vector<int> pred;  // reused across batches to avoid per-batch allocation
-  util::Arena arena;      // eval activations, reset per batch
-  for (std::uint64_t i = 0; i < count; ++i) {
-    indices.push_back(first_index + i);
-    if (static_cast<int>(indices.size()) == batch_size || i + 1 == count) {
-      const data::Sample batch = dataset.make_batch(indices);
-      arena.reset();
-      util::ArenaScope scope(arena);
-      const tensor::Tensor logits = model.forward(batch.image, /*train=*/false);
-      tensor::argmax_channels(logits, pred);
-      confusion.update(pred, batch.labels, kIgnoreLabel);
-      indices.clear();
-    }
-  }
+  util::Arena arena;
+  score(model, dataset, indices, batch_size, arena, confusion);
   return {confusion.miou(), confusion.pixel_accuracy()};
 }
 
@@ -55,7 +66,9 @@ HorovodHook::HorovodHook(mpi::Communicator& comm, const TrainConfig& config)
     : comm_(&comm),
       runtime_(std::in_place, comm, config.knobs),
       stream_(gpu::ComputeModel(gpu::DeviceSpec::v100_summit(), config.virtual_flop_efficiency),
-              [this](nn::Parameter& p, double ready_at) { on_gradient(p, ready_at); }) {}
+              [this](nn::Parameter& p, double ready_at) { on_gradient(p, ready_at); }) {
+  if (config.autotune.enabled) tuner_.emplace(*runtime_, config.autotune);
+}
 
 int HorovodHook::rank() const { return comm_->rank(); }
 
@@ -77,7 +90,10 @@ void HorovodHook::on_gradient(nn::Parameter& param, double ready_at) {
   runtime_->submit({param.name, param.grad.data(), param.grad.data().size_bytes(), ready_at});
 }
 
-void HorovodHook::on_step_end() { runtime_->synchronize(); }
+void HorovodHook::on_step_end() {
+  runtime_->synchronize();
+  if (tuner_) tuner_->step_end();
+}
 
 void HorovodHook::allreduce_sum(std::span<double> values) {
   comm_->allreduce(values, mpi::ReduceOp::kSum, mpi::MemSpace::kHost);
@@ -97,10 +113,12 @@ void HorovodHook::rebind(mpi::Communicator& comm) {
   const hvd::Knobs carried = runtime_->knobs();
   comm_ = &comm;
   runtime_.emplace(comm, carried);
+  if (tuner_) tuner_->rebind(*runtime_);
 }
 
 void HorovodHook::on_world_change(const WorldInfo&) {
   runtime_->compressor().reset_residuals();
+  if (tuner_) tuner_->on_world_change();
 }
 
 // ---- Trainer ----
@@ -145,27 +163,22 @@ float Trainer::train_step(const data::Sample& batch, double lr) {
   float loss;
   if (config_.memory == MemoryMode::kOwning) {
     loss = step_body(batch);
-  } else {
-    const bool retrace =
-        config_.memory == MemoryMode::kPlanned &&
-        (!step_arena_.planned() || !(batch.image.shape() == traced_shape_));
-    if (retrace) {
-      // Trace this step's Tensor liveness, then pack and install the
-      // plan: every later step with this input shape replays preassigned
-      // offsets in one block — no heap, no bump-chain growth.
-      if (step_arena_.planned()) step_arena_.clear_plan();
-      step_arena_.begin_trace();
-      {
-        util::ArenaScope scope(step_arena_);
-        loss = step_body(batch);
-      }
-      step_arena_.set_plan(tensor::MemoryPlanner::pack(step_arena_.take_trace()));
-      traced_shape_ = batch.image.shape();
-    } else {
-      step_arena_.reset();
+  } else if (!step_arena_.planned() || !(batch.image.shape() == traced_shape_)) {
+    // Trace this step's Tensor liveness, then pack and install the plan:
+    // every later step with this input shape replays preassigned offsets
+    // in one block — no heap, no bump-chain growth.
+    if (step_arena_.planned()) step_arena_.clear_plan();
+    step_arena_.begin_trace();
+    {
       util::ArenaScope scope(step_arena_);
       loss = step_body(batch);
     }
+    step_arena_.set_plan(tensor::MemoryPlanner::pack(step_arena_.take_trace()));
+    traced_shape_ = batch.image.shape();
+  } else {
+    step_arena_.reset();
+    util::ArenaScope scope(step_arena_);
+    loss = step_body(batch);
   }
   optimizer_.step(lr);
   ++global_step_;
@@ -204,22 +217,9 @@ EpochReport Trainer::train_epoch() {
          i += static_cast<std::uint64_t>(hook_.size())) {
       mine.push_back(config_.train_samples + i);
     }
-    std::vector<std::uint64_t> batch_ids;
-    std::vector<int> pred;  // reused across batches to avoid per-batch allocation
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      batch_ids.push_back(mine[i]);
-      if (static_cast<int>(batch_ids.size()) == config_.batch_per_rank || i + 1 == mine.size()) {
-        const data::Sample batch = dataset_.make_batch(batch_ids);
-        // Eval forwards go through the dedicated bump arena (never the
-        // planned step arena — eval batch shapes vary with the shard).
-        eval_arena_.reset();
-        util::ArenaScope scope(eval_arena_);
-        const tensor::Tensor logits = model_.forward(batch.image, /*train=*/false);
-        tensor::argmax_channels(logits, pred);
-        confusion.update(pred, batch.labels, kIgnoreLabel);
-        batch_ids.clear();
-      }
-    }
+    // Eval forwards go through the dedicated bump arena (never the
+    // planned step arena — eval batch shapes vary with the shard).
+    score(model_, dataset_, mine, config_.batch_per_rank, eval_arena_, confusion);
     std::vector<std::int64_t> counts(confusion.counts().begin(), confusion.counts().end());
     hook_.allreduce_sum(std::span<std::int64_t>(counts));
     std::copy(counts.begin(), counts.end(), confusion.counts().begin());
@@ -267,28 +267,6 @@ void Trainer::load_state(const std::string& path) {
   load_tensors(state_tensors(), path);
   global_step_ = std::lround(progress_.data()[0]);
   next_epoch_ = static_cast<int>(std::lround(progress_.data()[1]));
-}
-
-// ---- Entry points ----
-
-TrainReport train_distributed(mpi::Communicator& comm, const TrainConfig& config) {
-  HorovodHook hook(comm, config);
-  if (config.autotune.enabled) {
-    hvd::Autotuner tuner(hook.runtime(), config.autotune);
-    AutotuneHook tuned(hook, tuner);
-    Trainer trainer(config, tuned);
-    return trainer.run();
-  }
-  Trainer trainer(config, hook);
-  return trainer.run();
-}
-
-TrainReport train_serial(const TrainConfig& config, int equivalent_world) {
-  TrainConfig serial = config;
-  serial.batch_per_rank = config.batch_per_rank * equivalent_world;
-  NoComm hook;
-  Trainer trainer(serial, hook);
-  return trainer.run();
 }
 
 }  // namespace dlscale::train

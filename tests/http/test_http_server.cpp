@@ -278,7 +278,8 @@ TEST(HttpServer, StatsReportPerModelCountersAndPercentiles) {
   EXPECT_EQ(fp32.accepted, 3u);
   EXPECT_EQ(fp32.completed, 3u);
   EXPECT_EQ(int8.accepted, 1u);
-  EXPECT_EQ(fp32.rejected_full + fp32.rejected_closed, fp32.rejected);
+  EXPECT_EQ(fp32.rejected_full, 0u);
+  EXPECT_EQ(fp32.rejected_closed, 0u);
   EXPECT_EQ(fp32.model_version, 1);
   EXPECT_EQ(fp32.fp32_requests, 3u);
   EXPECT_EQ(int8.quantized_requests, 1u);

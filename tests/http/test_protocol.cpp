@@ -157,7 +157,6 @@ TEST(Protocol, HealthzAndStatsRoundTrip) {
   stats.models[0].accepted = 100;
   stats.models[0].rejected_full = 4;
   stats.models[0].rejected_closed = 1;
-  stats.models[0].rejected = 5;
   stats.models[0].total_p99_us = 817.25;
   const dh::StatsResponse stats2 = round_trip(stats);
   EXPECT_EQ(stats2.server.port, 8080);
@@ -253,7 +252,6 @@ TEST(Protocol, ToStatsJsonCopiesEveryCounter) {
   s.accepted = 10;
   s.rejected_full = 2;
   s.rejected_closed = 1;
-  s.rejected = 3;
   s.completed = 9;
   s.batches = 5;
   s.reloads = 1;
@@ -276,7 +274,6 @@ TEST(Protocol, ToStatsJsonCopiesEveryCounter) {
   EXPECT_EQ(out.accepted, 10u);
   EXPECT_EQ(out.rejected_full, 2u);
   EXPECT_EQ(out.rejected_closed, 1u);
-  EXPECT_EQ(out.rejected, 3u);
   EXPECT_EQ(out.completed, 9u);
   EXPECT_EQ(out.batches, 5u);
   EXPECT_EQ(out.reloads, 1u);

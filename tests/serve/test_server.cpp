@@ -68,7 +68,8 @@ TEST(Server, ServesConcurrentClientsCorrectly) {
   const ds::ServerStats stats = server.stats();
   EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.rejected_full, 0u);
+  EXPECT_EQ(stats.rejected_closed, 0u);
   EXPECT_GE(stats.batches, 1u);
   EXPECT_LE(stats.batches, static_cast<std::uint64_t>(kRequests));
   EXPECT_GE(stats.mean_batch_size, 1.0);
@@ -106,8 +107,6 @@ TEST(Server, RejectsWhenQueueOverflows) {
   const ds::ServerStats stats = server.stats();
   EXPECT_EQ(stats.rejected_full, static_cast<std::uint64_t>(rejected));
   EXPECT_EQ(stats.rejected_closed, 0u);
-  // `rejected` stays the sum, so pre-split dashboards keep working.
-  EXPECT_EQ(stats.rejected, stats.rejected_full + stats.rejected_closed);
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(accepted.size()));
 }
 
@@ -135,7 +134,6 @@ TEST(Server, ShutdownDrainsAdmittedRequests) {
     const ds::ServerStats stats = server.stats();
     EXPECT_EQ(stats.rejected_closed, 1u);
     EXPECT_EQ(stats.rejected_full, 0u);
-    EXPECT_EQ(stats.rejected, 1u);
   }
   // ...but everything admitted before shutdown was answered, not dropped.
   for (auto& f : futures) {

@@ -4,6 +4,7 @@
 // to EpochReport.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "dlscale/net/topology.hpp"
@@ -53,7 +54,8 @@ TEST(Autotune, TrainingMetricsAreBitwiseIdenticalToFixedKnobs) {
 
   std::vector<dt::EpochReport> fixed;
   dm::run_world(flat_world(), [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const auto report = dt::Trainer(config, hook).run();
     if (comm.rank() == 0) fixed = report.epochs;
   });
   ASSERT_EQ(fixed.size(), 3u);
@@ -71,13 +73,10 @@ TEST(Autotune, TrainingMetricsAreBitwiseIdenticalToFixedKnobs) {
   int windows = 0;
   dm::run_world(flat_world(), [&](dm::Communicator& comm) {
     dt::HorovodHook hook(comm, config);
-    dh::Autotuner tuner(hook.runtime(), config.autotune);
-    dt::AutotuneHook tuned_hook(hook, tuner);
-    dt::Trainer trainer(config, tuned_hook);
-    const auto report = trainer.run();
+    const auto report = dt::Trainer(config, hook).run();
     if (comm.rank() == 0) {
       tuned = report.epochs;
-      windows = tuner.windows_completed();
+      windows = hook.tuner()->windows_completed();
     }
   });
 
@@ -91,23 +90,47 @@ TEST(Autotune, TrainingMetricsAreBitwiseIdenticalToFixedKnobs) {
   }
 }
 
-TEST(Autotune, TrainDistributedHonoursAutotuneConfig) {
+TEST(Autotune, HorovodHookHonoursAutotuneConfig) {
+  // A Trainer over a plain HorovodHook must tune when the config says so:
+  // starting fully fused, the tuner's 1-byte fusion candidate splits every
+  // tensor into its own collective for at least one window.
   auto config = tiny_config();
-  config.epochs = 2;
-  config.autotune.enabled = true;
-  config.autotune.window_steps = 2;
-  dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, config);
-    ASSERT_EQ(report.epochs.size(), 2u);
-    EXPECT_GT(report.epochs.back().train_loss, 0.0);
-  });
+  config.knobs.fusion_threshold = 64 << 20;
+  config.autotune.window_steps = 1;
+  config.autotune.space.fusion_thresholds = {1, 64 << 20};
+  config.autotune.space.cycle_times_s = {1e-4};
+  config.autotune.space.hierarchical = {false};
+
+  auto fused_batches = [&](bool autotune) {
+    config.autotune.enabled = autotune;
+    std::uint64_t batches = 0;
+    int windows = 0;
+    dm::run_world(2, [&](dm::Communicator& comm) {
+      dt::HorovodHook hook(comm, config);
+      EXPECT_EQ(hook.tuner() != nullptr, autotune);
+      const auto report = dt::Trainer(config, hook).run();
+      if (comm.rank() == 0) {
+        batches = report.hvd_stats.fused_batches;
+        if (hook.tuner() != nullptr) windows = hook.tuner()->windows_completed();
+      }
+    });
+    if (autotune) {
+      EXPECT_GT(windows, 0);
+    }
+    return batches;
+  };
+
+  const std::uint64_t fixed = fused_batches(false);
+  const std::uint64_t tuned = fused_batches(true);
+  EXPECT_GT(tuned, fixed) << "the tuner never switched the fusion threshold";
 }
 
 TEST(EpochReport, PerEpochCommStatsSumToLifetimeTotals) {
   auto config = tiny_config();
   config.epochs = 2;
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const auto report = dt::Trainer(config, hook).run();
     ASSERT_EQ(report.epochs.size(), 2u);
     dh::RuntimeStats sum;
     for (const auto& epoch : report.epochs) {
@@ -132,7 +155,9 @@ TEST(EpochReport, PerEpochCommStatsSumToLifetimeTotals) {
 TEST(EpochReport, CommStatsAllZeroUnderNoComm) {
   auto config = tiny_config();
   config.epochs = 1;
-  const auto report = dt::train_serial(config, /*equivalent_world=*/2);
+  config.batch_per_rank *= 2;
+  dt::NoComm hook;
+  const auto report = dt::Trainer(config, hook).run();
   ASSERT_EQ(report.epochs.size(), 1u);
   EXPECT_EQ(report.epochs[0].comm_stats.bytes_reduced, 0u);
   EXPECT_EQ(report.epochs[0].comm_stats.cycles, 0u);

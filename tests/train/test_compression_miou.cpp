@@ -51,7 +51,8 @@ dt::TrainConfig tiny_config(dh::CompressionAlgo algo, float topk_ratio = 0.25f,
 double distributed_miou(int ranks, const dt::TrainConfig& config) {
   double miou = -1.0;
   dm::run_world(functional_world(ranks), [&](dm::Communicator& comm) {
-    const dt::TrainReport report = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const dt::TrainReport report = dt::Trainer(config, hook).run();
     if (comm.rank() == 0) miou = report.final_miou();
   });
   return miou;

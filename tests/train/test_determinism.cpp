@@ -106,7 +106,8 @@ TEST_P(Determinism, DistributedTrainingBitwiseIdenticalAcrossThreadCounts) {
     du::set_global_thread_count(threads);
     std::vector<double> losses;
     dm::run_world(2, [&](dm::Communicator& comm) {
-      const auto report = dtr::train_distributed(comm, config);
+      dtr::HorovodHook hook(comm, config);
+      const auto report = dtr::Trainer(config, hook).run();
       if (comm.rank() == 0) {
         for (const auto& e : report.epochs) losses.push_back(e.train_loss);
       }
@@ -150,7 +151,7 @@ TEST(SimdDeterminism, TrainingBitwiseIdenticalAcrossSimdLevels) {
 }
 
 TEST(SimdDeterminism, DistributedTrainingBitwiseIdenticalAcrossSimdLevels) {
-  // Acceptance check: a 2-rank train_distributed step is bitwise
+  // Acceptance check: a 2-rank Trainer over HorovodHook is bitwise
   // identical between dispatch levels (fp16 fusion-buffer path included
   // via its own parity suite; this covers the default fp32 path).
   if (du::detected_simd_level() == du::SimdLevel::kScalar) {
@@ -170,7 +171,8 @@ TEST(SimdDeterminism, DistributedTrainingBitwiseIdenticalAcrossSimdLevels) {
     dlscale::testing::ScopedSimdLevel scoped(level);
     std::vector<double> metrics;
     dm::run_world(2, [&](dm::Communicator& comm) {
-      const auto report = dtr::train_distributed(comm, config);
+      dtr::HorovodHook hook(comm, config);
+      const auto report = dtr::Trainer(config, hook).run();
       if (comm.rank() == 0) {
         for (const auto& e : report.epochs) {
           metrics.push_back(e.train_loss);

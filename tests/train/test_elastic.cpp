@@ -275,30 +275,32 @@ TEST(Elastic, MaxRecoveriesExhaustedRethrows) {
 }
 
 TEST(ElasticAutotune, TunerWindowRestartsOnWorldChange) {
-  // Three steps into a four-step window, on_world_change must discard the
-  // partial window: three more steps stay short of a boundary, and only
-  // the fourth post-reset step closes one.
+  // Three steps into a four-step window, the hook's on_world_change must
+  // reach the tuner and discard the partial window: three more steps stay
+  // short of a boundary, and only the fourth post-reset step closes one.
   dm::run_world(functional_world(2), [](dm::Communicator& comm) {
     dt::TrainConfig config = tiny_config();
     config.autotune.enabled = true;
     config.autotune.window_steps = 4;
     dt::HorovodHook hook(comm, config);
-    dlscale::hvd::Autotuner tuner(hook.runtime(), config.autotune);
-    for (int i = 0; i < 3; ++i) tuner.step_end();
-    EXPECT_EQ(tuner.windows_completed(), 0);
-    tuner.on_world_change();
-    for (int i = 0; i < 3; ++i) tuner.step_end();
+    dlscale::hvd::Autotuner* tuner = hook.tuner();
+    ASSERT_NE(tuner, nullptr);
+    for (int i = 0; i < 3; ++i) hook.on_step_end();
+    EXPECT_EQ(tuner->windows_completed(), 0);
+    hook.on_world_change({.old_size = 2, .new_size = 2, .my_rank = comm.rank(),
+                          .world_epoch = comm.world_epoch()});
+    for (int i = 0; i < 3; ++i) hook.on_step_end();
     // Without the reset these would be steps 4..6 and a window would have
     // closed at step 4.
-    EXPECT_EQ(tuner.windows_completed(), 0);
-    tuner.step_end();
-    EXPECT_EQ(tuner.windows_completed(), 1);
+    EXPECT_EQ(tuner->windows_completed(), 0);
+    hook.on_step_end();
+    EXPECT_EQ(tuner->windows_completed(), 1);
   });
 }
 
 TEST(ElasticAutotune, ElasticRunWithAutotuneRecovers) {
-  // End-to-end: the AutotuneHook chain survives a shrink (tuner rebinds
-  // to the rebuilt runtime, window restarts) and training completes.
+  // End-to-end: the hook's tuner survives a shrink (it rebinds to the
+  // rebuilt runtime, its window restarts) and training completes.
   dt::TrainConfig config = tiny_config();
   config.autotune.enabled = true;
   config.autotune.window_steps = 2;

@@ -163,14 +163,16 @@ TEST_P(GradPipeline, FusionThresholdObservableFromRealTraining) {
   std::uint64_t small_batches = 0, large_batches = 0;
   long steps = 0;
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, small);
+    dt::HorovodHook hook(comm, small);
+    const auto report = dt::Trainer(small, hook).run();
     if (comm.rank() == 0) {
       small_batches = report.hvd_stats.fused_batches;
       steps = report.steps;
     }
   });
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, large);
+    dt::HorovodHook hook(comm, large);
+    const auto report = dt::Trainer(large, hook).run();
     if (comm.rank() == 0) large_batches = report.hvd_stats.fused_batches;
   });
   ASSERT_GT(steps, 0);
@@ -184,10 +186,12 @@ TEST_P(GradPipeline, SerialMatchesSingleRankDistributedBitwise) {
   // a bitwise identity, so the streamed distributed path must reproduce
   // the serial reference exactly.
   const auto config = tiny_config();
-  const auto serial = dt::train_serial(config, /*equivalent_world=*/1);
+  dt::NoComm serial_hook;
+  const auto serial = dt::Trainer(config, serial_hook).run();
   dt::TrainReport distributed;
   dm::run_world(1, [&](dm::Communicator& comm) {
-    distributed = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    distributed = dt::Trainer(config, hook).run();
   });
   ASSERT_EQ(serial.epochs.size(), distributed.epochs.size());
   for (std::size_t e = 0; e < serial.epochs.size(); ++e) {

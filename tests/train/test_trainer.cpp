@@ -30,7 +30,8 @@ dt::TrainConfig tiny_config() {
 TEST(Trainer, DistributedRunProducesReports) {
   const auto config = tiny_config();
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const auto report = dt::Trainer(config, hook).run();
     ASSERT_EQ(report.epochs.size(), 2u);
     EXPECT_GT(report.parameter_count, 0u);
     EXPECT_GT(report.steps, 0);
@@ -44,7 +45,8 @@ TEST(Trainer, LossDecreasesOverEpochs) {
   auto config = tiny_config();
   config.epochs = 3;
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const auto report = dt::Trainer(config, hook).run();
     EXPECT_LT(report.epochs.back().train_loss, report.epochs.front().train_loss);
   });
 }
@@ -56,7 +58,8 @@ TEST(Trainer, ReportIdenticalOnAllRanks) {
   dm::run_world(4, [&](dm::Communicator& comm) {
     auto small = config;
     small.batch_per_rank = 1;
-    const auto report = dt::train_distributed(comm, small);
+    dt::HorovodHook hook(comm, small);
+    const auto report = dt::Trainer(small, hook).run();
     losses[static_cast<std::size_t>(comm.rank())] = report.epochs.back().train_loss;
     mious[static_cast<std::size_t>(comm.rank())] = report.epochs.back().eval_miou;
   });
@@ -68,12 +71,16 @@ TEST(Trainer, ReportIdenticalOnAllRanks) {
 
 TEST(Trainer, SerialRunMatchesShapeOfDistributed) {
   const auto config = tiny_config();
-  const auto serial = dt::train_serial(config, /*equivalent_world=*/2);
+  auto serial_config = config;
+  serial_config.batch_per_rank *= 2;  // the 2-rank global batch in one process
+  dt::NoComm serial_hook;
+  const auto serial = dt::Trainer(serial_config, serial_hook).run();
   ASSERT_EQ(serial.epochs.size(), 2u);
   EXPECT_GT(serial.parameter_count, 0u);
   // Same step count as a 2-rank distributed run over the same dataset.
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto distributed = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const auto distributed = dt::Trainer(config, hook).run();
     EXPECT_EQ(distributed.steps, serial.steps);
     EXPECT_EQ(distributed.parameter_count, serial.parameter_count);
   });
@@ -85,7 +92,8 @@ TEST(Trainer, ShardTooSmallThrows) {
   config.batch_per_rank = 8;
   EXPECT_THROW(dm::run_world(2,
                              [&](dm::Communicator& comm) {
-                               (void)dt::train_distributed(comm, config);
+                               dt::HorovodHook hook(comm, config);
+                               (void)dt::Trainer(config, hook).run();
                              }),
                std::invalid_argument);
 }
@@ -102,11 +110,13 @@ TEST(Trainer, HierarchicalKnobTrainsIdentically) {
   options.profile = dlscale::net::MpiProfile::ideal();
   options.timing = false;
   dm::run_world(options, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, flat_config);
+    dt::HorovodHook hook(comm, flat_config);
+    const auto report = dt::Trainer(flat_config, hook).run();
     if (comm.rank() == 0) flat_loss = report.epochs.back().train_loss;
   });
   dm::run_world(options, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, hier_config);
+    dt::HorovodHook hook(comm, hier_config);
+    const auto report = dt::Trainer(hier_config, hook).run();
     if (comm.rank() == 0) hier_loss = report.epochs.back().train_loss;
   });
   EXPECT_NEAR(flat_loss, hier_loss, 5e-3);
@@ -138,11 +148,13 @@ TEST(Trainer, BroadcastInitialStateAlignsDifferentSeeds) {
 
   double miou_broadcast = 0.0, miou_shared = 0.0;
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, with_broadcast);
+    dt::HorovodHook hook(comm, with_broadcast);
+    const auto report = dt::Trainer(with_broadcast, hook).run();
     if (comm.rank() == 0) miou_broadcast = report.final_miou();
   });
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, shared_seed);
+    dt::HorovodHook hook(comm, shared_seed);
+    const auto report = dt::Trainer(shared_seed, hook).run();
     if (comm.rank() == 0) miou_shared = report.final_miou();
   });
   // Rank 0's init seed is `seed` in both cases, so the runs are identical.
@@ -154,7 +166,8 @@ TEST(Trainer, AugmentedTrainingStillConverges) {
   config.augment = true;
   config.epochs = 3;
   dm::run_world(2, [&](dm::Communicator& comm) {
-    const auto report = dt::train_distributed(comm, config);
+    dt::HorovodHook hook(comm, config);
+    const auto report = dt::Trainer(config, hook).run();
     EXPECT_LT(report.epochs.back().train_loss, report.epochs.front().train_loss * 1.2);
     EXPECT_GE(report.final_miou(), 0.0);
   });
