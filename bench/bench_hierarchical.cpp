@@ -26,17 +26,13 @@ double measure(const net::MpiProfile& profile, int nodes, std::size_t bytes, boo
   mpi::run_world(options, [&](mpi::Communicator& comm) {
     if (hierarchical) {
       // Warm the cached sub-communicators, then measure.
-      comm.hierarchical_allreduce_sim(64, mpi::MemSpace::kDevice);
+      comm.allreduce_sim(64, mpi::MemSpace::kDevice, std::nullopt, /*hierarchical=*/true);
     }
     comm.barrier();
     const double t0 = comm.now();
     constexpr int kReps = 2;
     for (int rep = 0; rep < kReps; ++rep) {
-      if (hierarchical) {
-        comm.hierarchical_allreduce_sim(bytes, mpi::MemSpace::kDevice);
-      } else {
-        comm.allreduce_sim(bytes, mpi::MemSpace::kDevice);
-      }
+      comm.allreduce_sim(bytes, mpi::MemSpace::kDevice, std::nullopt, hierarchical);
     }
     comm.barrier();
     if (comm.rank() == 0) elapsed = (comm.now() - t0) / kReps;

@@ -39,11 +39,7 @@ double run_once(const Options& options, std::size_t bytes) {
     comm.barrier();
     const double t0 = comm.now();
     if (options.collective == "allreduce") {
-      if (options.hierarchical) {
-        comm.hierarchical_allreduce_sim(bytes, options.space);
-      } else {
-        comm.allreduce_sim(bytes, options.space);
-      }
+      comm.allreduce_sim(bytes, options.space, std::nullopt, options.hierarchical);
     } else if (options.collective == "bcast") {
       std::vector<std::byte> none;
       comm.bcast(none, 0, options.space, bytes);

@@ -10,7 +10,9 @@
 // point-to-point messages (binomial trees, rings, recursive doubling,
 // Rabenseifner, hierarchical two-level), so collective cost *emerges*
 // from the algorithm rather than being a closed-form estimate. This is
-// what makes the paper's knob ablations meaningful.
+// what makes the paper's knob ablations meaningful. Every ring-based
+// collective is built from two shared phases over one element partition:
+// a ring reduce-scatter (n-1 steps) and a ring allgather (n-1 steps).
 //
 // Timing model notes (PDES-lite):
 //  * sends are buffered in execution (never deadlock) but rendezvous
@@ -149,9 +151,8 @@ class Communicator {
   //
   // Failure semantics (applies to every p2p call below): once any member
   // of this communicator has died, the communicator is REVOKED — send,
-  // recv, sendrecv, isend, irecv-wait, send_value, recv_value,
-  // recv_dynamic, send_blob, and recv_blob all raise mpi::RankFailed, and
-  // a recv already blocked when the death happens is woken and raises
+  // recv, sendrecv, send_value and recv_value all raise mpi::RankFailed,
+  // and a recv already blocked when the death happens is woken and raises
   // too. Revoking on *any* member death (not just the direct peer) is
   // what lets survivors that never talk to the dead rank still escape
   // from the middle of a collective call chain instead of hanging.
@@ -161,47 +162,6 @@ class Communicator {
             std::size_t logical_bytes = kAuto);
   void recv(int src, int tag, std::span<std::byte> out, MemSpace space = MemSpace::kHost,
             std::size_t logical_bytes = kAuto);
-
-  /// Nonblocking handle returned by isend/irecv. Completion happens in
-  /// wait(): sends are buffered (already complete at post time); receives
-  /// match and account their virtual-clock cost when waited on — the
-  /// moment a real MPI implementation would progress them. wait() on a
-  /// receive whose sender died before matching raises RankFailed instead
-  /// of hanging; a throwing wait consumes the request.
-  class Request {
-   public:
-    Request() = default;
-
-    /// Complete the operation (no-op if already completed).
-    void wait() {
-      if (complete_) {
-        auto fn = std::move(complete_);
-        complete_ = nullptr;
-        fn();
-      }
-    }
-    [[nodiscard]] bool completed() const noexcept { return !complete_; }
-
-   private:
-    friend class Communicator;
-    explicit Request(std::function<void()> complete) : complete_(std::move(complete)) {}
-    std::function<void()> complete_;
-  };
-
-  /// Nonblocking send: posts immediately (sends are buffered), returns a
-  /// completed request for API symmetry with MPI_Isend.
-  Request isend(int dst, int tag, std::span<const std::byte> data,
-                MemSpace space = MemSpace::kHost, std::size_t logical_bytes = kAuto);
-
-  /// Nonblocking receive: matching is deferred to wait().
-  [[nodiscard]] Request irecv(int src, int tag, std::span<std::byte> out,
-                              MemSpace space = MemSpace::kHost,
-                              std::size_t logical_bytes = kAuto);
-
-  /// Complete a set of requests in order (MPI_Waitall).
-  static void wait_all(std::span<Request> requests) {
-    for (Request& request : requests) request.wait();
-  }
 
   /// Posts the send before blocking on the receive (safe ring step).
   void sendrecv(int dst, int send_tag, std::span<const std::byte> send_data, int src, int recv_tag,
@@ -221,15 +181,6 @@ class Communicator {
     recv(src, tag, std::as_writable_bytes(std::span<T, 1>(&value, 1)));
     return value;
   }
-
-  /// Receive a message of unknown size (the mailbox carries the payload
-  /// length, like MPI_Probe + MPI_Recv in one step).
-  [[nodiscard]] std::vector<std::byte> recv_dynamic(int src, int tag,
-                                                    MemSpace space = MemSpace::kHost);
-
-  /// Variable-length payload helpers (single message each way).
-  void send_blob(int dst, int tag, std::span<const std::byte> blob);
-  [[nodiscard]] std::vector<std::byte> recv_blob(int src, int tag);
 
   /// Type-erased elementwise reduction used by the byte-level engines
   /// (public so the typed wrappers in detail:: can build instances, and
@@ -262,8 +213,8 @@ class Communicator {
                                                                  int root);
 
   /// Fixed-size allgather (ring algorithm): `out` has size()*mine.size().
-  /// `logical_block` overrides the priced block size; pass it with empty
-  /// spans for a timing-only exchange (as for bcast's `logical_bytes`).
+  /// `logical_block` prices a timing-only exchange: pass it with empty
+  /// spans. With a payload it must equal mine.size().
   void allgather(std::span<const std::byte> mine, std::span<std::byte> out,
                  MemSpace space = MemSpace::kHost, std::size_t logical_block = kAuto);
 
@@ -317,13 +268,11 @@ class Communicator {
                         bool hierarchical = false);
 
   /// Timing-only allreduce: prices an allreduce of `bytes` (float
-  /// elements) without moving payload. Used by the performance simulator
-  /// where 132-rank gradient buffers would not fit in memory. Both forms
-  /// forward to allreduce_custom with a null payload.
+  /// elements) without moving payload, flat or two-level as for
+  /// allreduce_custom. Used by the performance simulator where 132-rank
+  /// gradient buffers would not fit in memory.
   void allreduce_sim(std::size_t bytes, MemSpace space = MemSpace::kDevice,
-                     std::optional<AllreduceAlgo> algo = std::nullopt);
-  void hierarchical_allreduce_sim(std::size_t bytes, MemSpace space = MemSpace::kDevice,
-                                  std::optional<AllreduceAlgo> leader_algo = std::nullopt);
+                     std::optional<AllreduceAlgo> algo = std::nullopt, bool hierarchical = false);
 
   /// Collective split by color: ranks with equal color form a new
   /// communicator ordered by parent rank. Every member must call; pass a
@@ -382,7 +331,17 @@ class Communicator {
   Communicator(World* world, std::uint64_t comm_id, std::vector<int> members, int my_index)
       : world_(world), comm_id_(comm_id), members_(std::move(members)), my_index_(my_index) {}
 
-  // Byte-level engine shared by all typed allreduce entry points.
+  // Element partition of a ring phase (defined in comm.cpp).
+  struct Segments;
+
+  // The one blocking receive: takes the next message on (src, tag) of any
+  // size, counts it, and completes its virtual-time cost (including the
+  // rendezvous sender's hold). `logical_bytes` overrides the counted size.
+  std::vector<std::byte> recv_dynamic(int src, int tag, MemSpace space = MemSpace::kHost,
+                                      std::size_t logical_bytes = kAuto);
+
+  // Byte-level engines behind the typed entry points. A null `data`
+  // prices the same messages without moving payload.
   void allreduce_bytes(std::byte* data, std::size_t elem_size, std::size_t count,
                        const Reducer* reducer, MemSpace space, AllreduceAlgo algo);
   void hierarchical_bytes(std::byte* data, std::size_t elem_size, std::size_t count,
@@ -390,27 +349,45 @@ class Communicator {
                           std::optional<AllreduceAlgo> leader_algo);
   void reduce_bytes(std::byte* data, std::size_t elem_size, std::size_t count,
                     const Reducer* reducer, int root, MemSpace space);
+  void reduce_scatter_bytes(std::byte* data, std::byte* out, std::size_t elem_size,
+                            std::size_t count, const Reducer* reducer, MemSpace space);
+
+  // The two ring phases every bandwidth-optimal collective is built from.
+  // After ring_reduce_scatter member r owns segment (r + 1) mod n fully
+  // reduced; ring_allgather circulates the segment each member owns,
+  // segment (r + shift) mod n.
+  void ring_reduce_scatter(std::byte* data, std::size_t elem_size, const Segments& segs,
+                           const Reducer* reducer, MemSpace space);
+  void ring_allgather(std::byte* data, std::size_t elem_size, const Segments& segs, int shift,
+                      MemSpace space);
   void ring_allreduce(std::byte* data, std::size_t elem_size, std::size_t count,
                       const Reducer* reducer, MemSpace space);
-  void ring_reduce_scatter_phase(std::byte* data, std::size_t elem_size, std::size_t count,
-                                 const Reducer* reducer, MemSpace space);
   // Pipelined intra-node phases for hierarchical allreduce (NCCL-style):
-  // ring reduce-scatter + segment gather to root / segment scatter from
-  // root + ring allgather.
+  // ring reduce-scatter + segment gather to member 0 / segment scatter
+  // from member 0 + ring allgather.
   void ring_reduce_to_root(std::byte* data, std::size_t elem_size, std::size_t count,
                            const Reducer* reducer, MemSpace space);
   void scatter_allgather_bcast(std::byte* data, std::size_t elem_size, std::size_t count,
                                MemSpace space);
+
+  // Runs `core` on the largest power-of-two subset of members: the first
+  // 2*rem members pair up, the even one of each pair folds its vector into
+  // the odd one before the core and receives the result after it.
+  template <typename Core>
+  void with_remainder_folded(std::byte* data, std::size_t elem_size, std::size_t count,
+                             const Reducer* reducer, MemSpace space, Core core);
   void recursive_doubling_allreduce(std::byte* data, std::size_t elem_size, std::size_t count,
                                     const Reducer* reducer, MemSpace space);
   void rabenseifner_allreduce(std::byte* data, std::size_t elem_size, std::size_t count,
                               const Reducer* reducer, MemSpace space);
   void binomial_bcast(std::byte* data, std::size_t bytes, int root, MemSpace space,
                       std::size_t logical_bytes);
-  // Prices the elementwise reduction of `bytes` received from member
-  // `src`; reduction runs on the host when the incoming message itself
-  // took the host-staged path (Spectrum-style), on the GPU otherwise.
-  void reduce_compute(std::size_t bytes, MemSpace space, int src);
+  // Reduces `len` received elements `in` into data[off, off + len) when
+  // there is a payload, and prices that reduction of bytes received from
+  // member `src`: on the host when the incoming message itself took the
+  // host-staged path (Spectrum-style), on the GPU otherwise.
+  void reduce_in(std::byte* data, std::size_t elem_size, std::size_t off, std::size_t len,
+                 const std::byte* in, const Reducer* reducer, MemSpace space, int src);
 
   // Raise RankFailed if any member of this communicator is dead, and fire
   // any time-triggered kill for this rank first. `expected_src` (member
@@ -501,24 +478,13 @@ template <typename T>
 void Communicator::reduce_scatter(std::span<T> data, std::span<T> out, ReduceOp op,
                                   MemSpace space) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = static_cast<std::size_t>(size());
-  if (data.size() != out.size() * n) {
+  if (data.size() != out.size() * static_cast<std::size_t>(size())) {
     throw std::invalid_argument("reduce_scatter: data must hold size() blocks of out's size");
   }
   const Reducer reducer = detail::make_reducer<T>(op);
-  ring_reduce_scatter_phase(reinterpret_cast<std::byte*>(data.data()), sizeof(T), data.size(),
-                            &reducer, space);
-  // After the ring phase, rank r owns block (r+1) mod size() fully reduced.
-  const std::size_t block = out.size();
-  const auto owned = static_cast<std::size_t>((rank() + 1) % size());
-  std::copy(data.begin() + static_cast<std::ptrdiff_t>(owned * block),
-            data.begin() + static_cast<std::ptrdiff_t>((owned + 1) * block), out.begin());
-  // Rotate ownership so member r holds block r (one extra hop, like MPICH's
-  // ring reduce_scatter with final alignment).
-  const int right = (rank() + 1) % size();
-  const int left = (rank() - 1 + size()) % size();
-  sendrecv(right, 0x4D000000, std::as_bytes(out), left, 0x4D000000, std::as_writable_bytes(out),
-           space);
+  reduce_scatter_bytes(reinterpret_cast<std::byte*>(data.data()),
+                       reinterpret_cast<std::byte*>(out.data()), sizeof(T), data.size(), &reducer,
+                       space);
 }
 
 template <typename T>

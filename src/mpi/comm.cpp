@@ -18,17 +18,18 @@ namespace {
 // Reserved tag space for internal collective traffic. User tags must stay
 // below this; per-channel FIFO matching makes tag reuse across successive
 // collectives safe (same guarantee real MPI relies on).
-constexpr int kTagBarrier = 0x41000000;
-constexpr int kTagBcast = 0x42000000;
+constexpr int kTagBarrier = 0x41000000;     // + round
+constexpr int kTagBcast = 0x42000000;       // +1 segment scatter, +2 scatter, +3 bcast_blob
 constexpr int kTagReduce = 0x43000000;
-constexpr int kTagRingRS = 0x44000000;
-constexpr int kTagRingAG = 0x45000000;
-constexpr int kTagRecDouble = 0x46000000;
-constexpr int kTagRabenRS = 0x47000000;
-constexpr int kTagRabenAG = 0x48000000;
-constexpr int kTagGather = 0x49000000;
-constexpr int kTagAllgather = 0x4A000000;
-constexpr int kTagBlobData = 0x4C000000;
+constexpr int kTagRingRS = 0x44000000;      // + step
+constexpr int kTagRingAG = 0x45000000;      // + step
+constexpr int kTagRecDouble = 0x46000000;   // + mask
+constexpr int kTagRabenRS = 0x47000000;     // + distance
+constexpr int kTagRabenAG = 0x48000000;     // + distance
+constexpr int kTagGather = 0x49000000;      // +1 segment gather, +2 gather, +3 gather_blobs
+constexpr int kTagAlltoall = 0x4A000000;    // + step
+constexpr int kTagFold = 0x4B000000;        // +1 unfold
+constexpr int kTagReduceScatter = 0x4C000000;
 
 struct Message {
   std::vector<std::byte> payload;
@@ -371,23 +372,13 @@ void Communicator::send(int dst, int tag, std::span<const std::byte> data, MemSp
   world_->post(MailKey{comm_id_, my_index_, dst, tag}, std::move(message));
 }
 
-void Communicator::recv(int src, int tag, std::span<std::byte> out, MemSpace space,
-                        std::size_t logical_bytes) {
+std::vector<std::byte> Communicator::recv_dynamic(int src, int tag, MemSpace space,
+                                                  std::size_t logical_bytes) {
   if (src < 0 || src >= size()) throw std::out_of_range("recv: bad source rank");
   ensure_live("recv", tag, src);
-  const MailKey key{comm_id_, src, my_index_, tag};
   int failed = -1;
-  Message message = world_->take(key, members_, &failed);
+  Message message = world_->take(MailKey{comm_id_, src, my_index_, tag}, members_, &failed);
   if (failed != -1) raise_failed(failed, "recv", tag, src);
-
-  if (!message.payload.empty() || !out.empty()) {
-    if (message.payload.size() != out.size()) {
-      throw std::runtime_error("recv: size mismatch (got " +
-                               std::to_string(message.payload.size()) + " bytes, expected " +
-                               std::to_string(out.size()) + ")");
-    }
-    std::memcpy(out.data(), message.payload.data(), out.size());
-  }
 
   const int grank = global_rank();
   auto& st = world_->stats(grank);
@@ -414,19 +405,17 @@ void Communicator::recv(int src, int tag, std::span<std::byte> out, MemSpace spa
     clk.bump_to(completion);
     st.comm_time_s += std::max(0.0, completion - before);
   }
+  return std::move(message.payload);
 }
 
-Communicator::Request Communicator::isend(int dst, int tag, std::span<const std::byte> data,
-                                          MemSpace space, std::size_t logical_bytes) {
-  send(dst, tag, data, space, logical_bytes);
-  return Request{};
-}
-
-Communicator::Request Communicator::irecv(int src, int tag, std::span<std::byte> out,
-                                          MemSpace space, std::size_t logical_bytes) {
-  return Request([this, src, tag, out, space, logical_bytes] {
-    recv(src, tag, out, space, logical_bytes);
-  });
+void Communicator::recv(int src, int tag, std::span<std::byte> out, MemSpace space,
+                        std::size_t logical_bytes) {
+  const std::vector<std::byte> payload = recv_dynamic(src, tag, space, logical_bytes);
+  if (payload.size() != out.size()) {
+    throw std::runtime_error("recv: size mismatch (got " + std::to_string(payload.size()) +
+                             " bytes, expected " + std::to_string(out.size()) + ")");
+  }
+  if (!out.empty()) std::memcpy(out.data(), payload.data(), out.size());
 }
 
 void Communicator::sendrecv(int dst, int send_tag, std::span<const std::byte> send_data, int src,
@@ -438,49 +427,157 @@ void Communicator::sendrecv(int dst, int send_tag, std::span<const std::byte> se
   recv(src, recv_tag, recv_data, space, recv_logical);
 }
 
-std::vector<std::byte> Communicator::recv_dynamic(int src, int tag, MemSpace space) {
-  if (src < 0 || src >= size()) throw std::out_of_range("recv_dynamic: bad source rank");
-  ensure_live("recv_dynamic", tag, src);
-  const MailKey key{comm_id_, src, my_index_, tag};
-  int failed = -1;
-  Message message = world_->take(key, members_, &failed);
-  if (failed != -1) raise_failed(failed, "recv_dynamic", tag, src);
+// ---------------------------------------------------------------------------
+// collective building blocks
+// ---------------------------------------------------------------------------
 
-  const int grank = global_rank();
-  auto& st = world_->stats(grank);
-  ++st.messages;
-  st.bytes += message.logical_bytes;
+namespace {
 
-  if (world_->options().timing) {
-    auto& clk = world_->clock(grank);
-    const auto& profile = world_->cost().profile();
-    double r0 = clk.now() + profile.per_op_overhead_s;
-    if (space == MemSpace::kDevice) r0 += profile.device_op_overhead_s;
-    double completion;
-    if (message.rendezvous) {
-      completion = std::max(message.available_at,
-                            r0 + message.handshake_s + message.wire_s + message.pipeline_extra_s);
-      world_->clock(message.sender_global).bump_to(completion);
-    } else {
-      completion = std::max(message.available_at, r0);
-    }
-    const double before = clk.now();
-    clk.bump_to(completion);
-    st.comm_time_s += std::max(0.0, completion - before);
+/// Span over an element window of a buffer that may be null (timing-only).
+std::span<std::byte> window(std::byte* data, std::size_t elem_size, std::size_t off,
+                            std::size_t len) {
+  if (data == nullptr) return {};
+  return {data + off * elem_size, len * elem_size};
+}
+
+/// Binomial tree over `n` members rooted at `root`, seen from member `me`.
+/// In root-relative numbering my parent is `low` below me and my children
+/// are `mask` above me for every power of two `mask < low`; `low` is my
+/// lowest set bit, or the first power of two >= n at the root.
+struct BinomialTree {
+  BinomialTree(int n_, int root_, int me) : n(n_), root(root_), vrank((me - root_ + n_) % n_) {
+    while (low < n && (vrank & low) == 0) low <<= 1;
   }
-  return std::move(message.payload);
+  /// Member index of my parent, or -1 at the root.
+  [[nodiscard]] int parent() const { return vrank == 0 ? -1 : (vrank - low + root) % n; }
+  /// Member index of my child `mask` above me, or -1 past the last member.
+  [[nodiscard]] int child(int mask) const {
+    return vrank + mask < n ? (vrank + mask + root) % n : -1;
+  }
+
+  int n, root, vrank, low = 1;
+};
+
+/// The power-of-two core of an n-member world: the first 2*rem members
+/// pair up and the odd member of each pair stands in for both.
+struct PowerOfTwoCore {
+  explicit PowerOfTwoCore(int n) {
+    while (pof2 * 2 <= n) pof2 *= 2;
+    rem = n - pof2;
+  }
+  /// Member index of core rank `core_rank`.
+  [[nodiscard]] int member(int core_rank) const {
+    return core_rank < rem ? core_rank * 2 + 1 : core_rank + rem;
+  }
+
+  int pof2 = 1, rem = 0;
+};
+
+}  // namespace
+
+/// Element partition of a ring phase: `count` elements over `n` segments,
+/// the first count % n of which hold one extra element.
+struct Communicator::Segments {
+  std::size_t count;
+  int n;
+
+  [[nodiscard]] std::size_t base() const { return count / static_cast<std::size_t>(n); }
+  [[nodiscard]] std::size_t extra() const { return count % static_cast<std::size_t>(n); }
+  [[nodiscard]] std::size_t off(int s) const {
+    const auto u = static_cast<std::size_t>(s);
+    return u * base() + std::min(u, extra());
+  }
+  [[nodiscard]] std::size_t len(int s) const {
+    return base() + (static_cast<std::size_t>(s) < extra() ? 1 : 0);
+  }
+};
+
+void Communicator::reduce_in(std::byte* data, std::size_t elem_size, std::size_t off,
+                             std::size_t len, const std::byte* in, const Reducer* reducer,
+                             MemSpace space, int src) {
+  if (data != nullptr && reducer != nullptr) reducer->apply(data + off * elem_size, in, len);
+  const std::size_t bytes = len * elem_size;
+  if (!world_->options().timing || bytes == 0) return;
+  const auto& profile = world_->cost().profile();
+  double bw = profile.reduce_bw_host_Bps;
+  if (space == MemSpace::kDevice) {
+    // The incoming chunk only lands in host memory when it was staged:
+    // inter-node, above the GDR window, under a staging library.
+    const bool inter_node =
+        world_->cost().topology().hop(global_rank(), global_rank_of(src)) ==
+        net::HopClass::kInterNode;
+    const bool staged = profile.staged_reduce_on_host && inter_node && bytes > profile.gdr_limit;
+    bw = staged ? profile.reduce_bw_host_Bps : profile.reduce_bw_device_Bps;
+  }
+  const double dt = static_cast<double>(bytes) / bw;
+  world_->clock(global_rank()).advance(dt);
+  world_->stats(global_rank()).comm_time_s += dt;
 }
 
-// XOR, not +: callers pass collective tag constants (kTagGather etc.)
-// whose sum with kTagBlobData overflows int. XOR keeps small user tags
-// identical to addition and maps each collective constant to a distinct
-// low-range value no direct send ever uses.
-void Communicator::send_blob(int dst, int tag, std::span<const std::byte> blob) {
-  send(dst, kTagBlobData ^ tag, blob);
+void Communicator::ring_reduce_scatter(std::byte* data, std::size_t elem_size,
+                                       const Segments& segs, const Reducer* reducer,
+                                       MemSpace space) {
+  const int n = size();
+  if (n == 1 || segs.count == 0) return;
+  std::vector<std::byte> tmp;
+  if (data != nullptr) tmp.resize((segs.base() + 1) * elem_size);
+  const int right = (my_index_ + 1) % n;
+  const int left = (my_index_ - 1 + n) % n;
+  for (int step = 0; step < n - 1; ++step) {
+    const int send_seg = (my_index_ - step + n) % n;
+    const int recv_seg = (my_index_ - step - 1 + n) % n;
+    const std::size_t send_bytes = segs.len(send_seg) * elem_size;
+    const std::size_t recv_bytes = segs.len(recv_seg) * elem_size;
+    const std::span<std::byte> incoming(tmp.data(), data != nullptr ? recv_bytes : 0);
+    sendrecv(right, kTagRingRS + step,
+             window(data, elem_size, segs.off(send_seg), segs.len(send_seg)), left,
+             kTagRingRS + step, incoming, space, send_bytes, recv_bytes);
+    reduce_in(data, elem_size, segs.off(recv_seg), segs.len(recv_seg), tmp.data(), reducer, space,
+              left);
+  }
 }
 
-std::vector<std::byte> Communicator::recv_blob(int src, int tag) {
-  return recv_dynamic(src, kTagBlobData ^ tag);
+void Communicator::ring_allgather(std::byte* data, std::size_t elem_size, const Segments& segs,
+                                  int shift, MemSpace space) {
+  const int n = size();
+  if (n == 1 || segs.count == 0) return;
+  const int right = (my_index_ + 1) % n;
+  const int left = (my_index_ - 1 + n) % n;
+  for (int step = 0; step < n - 1; ++step) {
+    const int send_seg = (my_index_ + shift - step + n) % n;
+    const int recv_seg = (my_index_ + shift - step - 1 + n) % n;
+    sendrecv(right, kTagRingAG + step,
+             window(data, elem_size, segs.off(send_seg), segs.len(send_seg)), left,
+             kTagRingAG + step, window(data, elem_size, segs.off(recv_seg), segs.len(recv_seg)),
+             space, segs.len(send_seg) * elem_size, segs.len(recv_seg) * elem_size);
+  }
+}
+
+template <typename Core>
+void Communicator::with_remainder_folded(std::byte* data, std::size_t elem_size,
+                                         std::size_t count, const Reducer* reducer,
+                                         MemSpace space, Core core) {
+  const PowerOfTwoCore pc(size());
+  const std::size_t bytes = count * elem_size;
+  std::vector<std::byte> tmp;
+  if (data != nullptr) tmp.resize(bytes);
+  const std::span<std::byte> all = window(data, elem_size, 0, count);
+  const bool paired = my_index_ < 2 * pc.rem;
+  const bool even = my_index_ % 2 == 0;
+  if (paired && even) {
+    send(my_index_ + 1, kTagFold, all, space, bytes);
+  } else {
+    if (paired) {
+      recv(my_index_ - 1, kTagFold, tmp, space, bytes);
+      reduce_in(data, elem_size, 0, count, tmp.data(), reducer, space, my_index_ - 1);
+    }
+    core(pc, paired ? my_index_ / 2 : my_index_ - pc.rem, tmp);
+  }
+  if (paired && even) {
+    recv(my_index_ + 1, kTagFold + 1, all, space, bytes);
+  } else if (paired) {
+    send(my_index_ - 1, kTagFold + 1, all, space, bytes);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -502,27 +599,13 @@ void Communicator::barrier() {
 
 void Communicator::binomial_bcast(std::byte* data, std::size_t bytes, int root, MemSpace space,
                                   std::size_t logical_bytes) {
-  const int n = size();
-  if (n == 1) return;
-  const int vrank = (my_index_ - root + n) % n;
-  std::span<std::byte> buf(data, data != nullptr ? bytes : 0);
-
-  int mask = 1;
-  while (mask < n) {
-    if (vrank & mask) {
-      const int src = ((vrank - mask) + root) % n;
-      recv(src, kTagBcast, buf, space, logical_bytes);
-      break;
+  const std::span<std::byte> buf(data, data != nullptr ? bytes : 0);
+  const BinomialTree tree(size(), root, my_index_);
+  if (tree.parent() >= 0) recv(tree.parent(), kTagBcast, buf, space, logical_bytes);
+  for (int mask = tree.low >> 1; mask > 0; mask >>= 1) {
+    if (const int child = tree.child(mask); child >= 0) {
+      send(child, kTagBcast, buf, space, logical_bytes);
     }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < n) {
-      const int dst = ((vrank + mask) + root) % n;
-      send(dst, kTagBcast, buf, space, logical_bytes);
-    }
-    mask >>= 1;
   }
 }
 
@@ -537,27 +620,12 @@ std::vector<std::byte> Communicator::bcast_blob(std::span<const std::byte> blob,
   // Binomial tree of dynamic messages: one message per edge regardless of
   // payload size (no separate size phase).
   ensure_live("bcast_blob", -1);
-  const int n = size();
   std::vector<std::byte> out;
   if (my_index_ == root) out.assign(blob.begin(), blob.end());
-  if (n == 1) return out;
-  const int vrank = (my_index_ - root + n) % n;
-  int mask = 1;
-  while (mask < n) {
-    if (vrank & mask) {
-      const int src = ((vrank - mask) + root) % n;
-      out = recv_dynamic(src, kTagBcast + 3);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < n) {
-      const int dst = ((vrank + mask) + root) % n;
-      send(dst, kTagBcast + 3, out);
-    }
-    mask >>= 1;
+  const BinomialTree tree(size(), root, my_index_);
+  if (tree.parent() >= 0) out = recv_dynamic(tree.parent(), kTagBcast + 3);
+  for (int mask = tree.low >> 1; mask > 0; mask >>= 1) {
+    if (const int child = tree.child(mask); child >= 0) send(child, kTagBcast + 3, out);
   }
   return out;
 }
@@ -566,17 +634,18 @@ std::vector<std::vector<std::byte>> Communicator::gather_blobs(std::span<const s
                                                                int root) {
   ensure_live("gather_blobs", -1);
   std::vector<std::vector<std::byte>> all;
-  if (my_index_ == root) {
-    all.resize(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      if (r == my_index_) {
-        all[static_cast<std::size_t>(r)].assign(mine.begin(), mine.end());
-      } else {
-        all[static_cast<std::size_t>(r)] = recv_blob(r, kTagGather);
-      }
+  if (my_index_ != root) {
+    send(root, kTagGather + 3, mine);
+    return all;
+  }
+  all.resize(static_cast<std::size_t>(size()));
+  for (int r = 0; r < size(); ++r) {
+    auto& blob = all[static_cast<std::size_t>(r)];
+    if (r == my_index_) {
+      blob.assign(mine.begin(), mine.end());
+    } else {
+      blob = recv_dynamic(r, kTagGather + 3);
     }
-  } else {
-    send_blob(root, kTagGather, mine);
   }
   return all;
 }
@@ -590,20 +659,14 @@ void Communicator::allgather(std::span<const std::byte> mine, std::span<std::byt
   if (out.size() != block * static_cast<std::size_t>(n)) {
     throw std::invalid_argument("allgather: out must hold size() blocks");
   }
+  if (block != 0 && logical != block) {
+    throw std::invalid_argument("allgather: logical_block must equal a non-empty block's size");
+  }
   std::copy(mine.begin(), mine.end(),
             out.begin() + static_cast<std::ptrdiff_t>(block * static_cast<std::size_t>(my_index_)));
-  if (n == 1) return;
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_block = (my_index_ - step + n) % n;
-    const int recv_block = (my_index_ - step - 1 + n) % n;
-    sendrecv(right, kTagAllgather + step,
-             out.subspan(block * static_cast<std::size_t>(send_block), block), left,
-             kTagAllgather + step,
-             out.subspan(block * static_cast<std::size_t>(recv_block), block), space, logical,
-             logical);
-  }
+  // Each member's block is one element of the ring.
+  ring_allgather(block != 0 ? out.data() : nullptr, logical,
+                 Segments{static_cast<std::size_t>(n), n}, 0, space);
 }
 
 void Communicator::scatter(std::span<const std::byte> blocks, std::span<std::byte> mine,
@@ -663,326 +726,125 @@ void Communicator::alltoall(std::span<const std::byte> send_blocks,
   std::copy(send_blocks.begin() + static_cast<std::ptrdiff_t>(block * my_index_),
             send_blocks.begin() + static_cast<std::ptrdiff_t>(block * (my_index_ + 1)),
             recv_blocks.begin() + static_cast<std::ptrdiff_t>(block * my_index_));
-  // Pairwise exchange: at step s talk to rank ^ s (power-of-two worlds) or
-  // the (my + s, my - s) pairing otherwise.
+  // Pairwise exchange: at step s send to member my + s and receive from
+  // member my - s (mod n), for any world size.
   for (int step = 1; step < n; ++step) {
     const int dst = (my_index_ + step) % n;
     const int src = (my_index_ - step + n) % n;
-    sendrecv(dst, kTagAllgather + 64 + step,
+    sendrecv(dst, kTagAlltoall + step,
              send_blocks.subspan(block * static_cast<std::size_t>(dst), block), src,
-             kTagAllgather + 64 + step,
+             kTagAlltoall + step,
              recv_blocks.subspan(block * static_cast<std::size_t>(src), block), space);
   }
 }
 
-void Communicator::reduce_compute(std::size_t bytes, MemSpace space, int src) {
-  if (!world_->options().timing || bytes == 0) return;
-  const auto& profile = world_->cost().profile();
-  double bw = profile.reduce_bw_host_Bps;
-  if (space == MemSpace::kDevice) {
-    // The incoming chunk only lands in host memory when it was staged:
-    // inter-node, above the GDR window, under a staging library.
-    const bool inter_node =
-        world_->cost().topology().hop(global_rank(), global_rank_of(src)) ==
-        net::HopClass::kInterNode;
-    const bool staged = profile.staged_reduce_on_host && inter_node && bytes > profile.gdr_limit;
-    bw = staged ? profile.reduce_bw_host_Bps : profile.reduce_bw_device_Bps;
-  }
-  const double dt = static_cast<double>(bytes) / bw;
-  world_->clock(global_rank()).advance(dt);
-  world_->stats(global_rank()).comm_time_s += dt;
-}
-
-namespace {
-
-/// Span over an element window of a buffer that may be null (timing-only).
-std::span<std::byte> window(std::byte* data, std::size_t elem_size, std::size_t off,
-                            std::size_t len) {
-  if (data == nullptr) return {};
-  return {data + off * elem_size, len * elem_size};
-}
-
-}  // namespace
-
 void Communicator::ring_allreduce(std::byte* data, std::size_t elem_size, std::size_t count,
                                   const Reducer* reducer, MemSpace space) {
-  const int n = size();
-  if (n == 1 || count == 0) return;
-  // Element partition: first (count % n) segments get one extra element.
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) {
-    return base + (static_cast<std::size_t>(s) < extra ? 1 : 0);
-  };
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize((base + 1) * elem_size);
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-
-  // Phase 1: reduce-scatter.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    const std::size_t send_bytes = seg_len(send_seg) * elem_size;
-    const std::size_t recv_bytes = seg_len(recv_seg) * elem_size;
-    std::span<std::byte> incoming =
-        data != nullptr ? std::span<std::byte>(tmp.data(), recv_bytes) : std::span<std::byte>{};
-    sendrecv(right, kTagRingRS + step, window(data, elem_size, seg_off(send_seg), seg_len(send_seg)),
-             left, kTagRingRS + step, incoming, space, send_bytes, recv_bytes);
-    if (data != nullptr && reducer != nullptr) {
-      reducer->apply(data + seg_off(recv_seg) * elem_size, tmp.data(), seg_len(recv_seg));
-    }
-    reduce_compute(recv_bytes, space, left);
-  }
-
-  // Phase 2: allgather.
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ + 1 - step + 2 * n) % n;
-    const int recv_seg = (my_index_ - step + n) % n;
-    sendrecv(right, kTagRingAG + step,
-             window(data, elem_size, seg_off(send_seg), seg_len(send_seg)), left,
-             kTagRingAG + step, window(data, elem_size, seg_off(recv_seg), seg_len(recv_seg)),
-             space, seg_len(send_seg) * elem_size, seg_len(recv_seg) * elem_size);
-  }
+  const Segments segs{count, size()};
+  ring_reduce_scatter(data, elem_size, segs, reducer, space);
+  // Member r now owns segment (r + 1) mod n fully reduced.
+  ring_allgather(data, elem_size, segs, 1, space);
 }
 
-void Communicator::ring_reduce_scatter_phase(std::byte* data, std::size_t elem_size,
-                                             std::size_t count, const Reducer* reducer,
-                                             MemSpace space) {
+void Communicator::reduce_scatter_bytes(std::byte* data, std::byte* out, std::size_t elem_size,
+                                        std::size_t count, const Reducer* reducer,
+                                        MemSpace space) {
   ensure_live("reduce_scatter", -1);
   const int n = size();
-  if (n == 1 || count == 0) return;
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) { return base + (static_cast<std::size_t>(s) < extra ? 1 : 0); };
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize((base + 1) * elem_size);
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    const std::size_t send_bytes = seg_len(send_seg) * elem_size;
-    const std::size_t recv_bytes = seg_len(recv_seg) * elem_size;
-    std::span<std::byte> incoming =
-        data != nullptr ? std::span<std::byte>(tmp.data(), recv_bytes) : std::span<std::byte>{};
-    sendrecv(right, kTagRingRS + 128 + step,
-             window(data, elem_size, seg_off(send_seg), seg_len(send_seg)), left,
-             kTagRingRS + 128 + step, incoming, space, send_bytes, recv_bytes);
-    if (data != nullptr && reducer != nullptr) {
-      reducer->apply(data + seg_off(recv_seg) * elem_size, tmp.data(), seg_len(recv_seg));
-    }
-    reduce_compute(recv_bytes, space, left);
-  }
+  const Segments segs{count, n};
+  ring_reduce_scatter(data, elem_size, segs, reducer, space);
+  // Rotate ownership so member r holds block r (one extra hop, like MPICH's
+  // ring reduce_scatter with final alignment).
+  const int owned = (my_index_ + 1) % n;
+  const std::span<std::byte> mine(out, segs.len(owned) * elem_size);
+  if (!mine.empty()) std::memcpy(mine.data(), data + segs.off(owned) * elem_size, mine.size());
+  sendrecv(owned, kTagReduceScatter, mine, (my_index_ - 1 + n) % n, kTagReduceScatter, mine,
+           space);
 }
 
 void Communicator::recursive_doubling_allreduce(std::byte* data, std::size_t elem_size,
                                                 std::size_t count, const Reducer* reducer,
                                                 MemSpace space) {
-  const int n = size();
-  if (n == 1 || count == 0) return;
+  if (size() == 1 || count == 0) return;
   const std::size_t bytes = count * elem_size;
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize(bytes);
-  auto incoming = [&]() -> std::span<std::byte> {
-    return data != nullptr ? std::span<std::byte>(tmp) : std::span<std::byte>{};
-  };
-  auto apply = [&](int src) {
-    if (data != nullptr && reducer != nullptr) reducer->apply(data, tmp.data(), count);
-    reduce_compute(bytes, space, src);
-  };
-
-  int pof2 = 1;
-  while (pof2 * 2 <= n) pof2 *= 2;
-  const int rem = n - pof2;
-
-  // Fold the non-power-of-two remainder into the power-of-two core.
-  int newrank;
-  if (my_index_ < 2 * rem) {
-    if (my_index_ % 2 == 0) {
-      send(my_index_ + 1, kTagRecDouble, window(data, elem_size, 0, count), space, bytes);
-      newrank = -1;
-    } else {
-      recv(my_index_ - 1, kTagRecDouble, incoming(), space, bytes);
-      apply(my_index_ - 1);
-      newrank = my_index_ / 2;
-    }
-  } else {
-    newrank = my_index_ - rem;
-  }
-
-  if (newrank != -1) {
-    auto old_rank = [&](int nr) { return nr < rem ? nr * 2 + 1 : nr + rem; };
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner = old_rank(newrank ^ mask);
-      sendrecv(partner, kTagRecDouble + 16 + mask, window(data, elem_size, 0, count), partner,
-               kTagRecDouble + 16 + mask, incoming(), space, bytes, bytes);
-      apply(partner);
-    }
-  }
-
-  // Unfold: odd ranks return the result to their even partners.
-  if (my_index_ < 2 * rem) {
-    if (my_index_ % 2 == 0) {
-      recv(my_index_ + 1, kTagRecDouble + 1, window(data, elem_size, 0, count), space, bytes);
-    } else {
-      send(my_index_ - 1, kTagRecDouble + 1, window(data, elem_size, 0, count), space, bytes);
-    }
-  }
+  with_remainder_folded(
+      data, elem_size, count, reducer, space,
+      [&](const PowerOfTwoCore& core, int core_rank, std::span<std::byte> tmp) {
+        for (int mask = 1; mask < core.pof2; mask <<= 1) {
+          const int partner = core.member(core_rank ^ mask);
+          sendrecv(partner, kTagRecDouble + mask, window(data, elem_size, 0, count), partner,
+                   kTagRecDouble + mask, tmp, space, bytes, bytes);
+          reduce_in(data, elem_size, 0, count, tmp.data(), reducer, space, partner);
+        }
+      });
 }
 
 void Communicator::rabenseifner_allreduce(std::byte* data, std::size_t elem_size,
                                           std::size_t count, const Reducer* reducer,
                                           MemSpace space) {
-  const int n = size();
-  if (n == 1 || count == 0) return;
-  const std::size_t bytes = count * elem_size;
-
-  int pof2 = 1;
-  while (pof2 * 2 <= n) pof2 *= 2;
-  const int rem = n - pof2;
+  if (size() == 1 || count == 0) return;
   // For tiny counts the halving bookkeeping degenerates; fall back.
-  if (static_cast<std::size_t>(pof2) > count || pof2 < 2) {
+  if (static_cast<std::size_t>(PowerOfTwoCore(size()).pof2) > count) {
     recursive_doubling_allreduce(data, elem_size, count, reducer, space);
     return;
   }
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize(bytes);
-
-  // Fold remainder (same as recursive doubling).
-  int newrank;
-  if (my_index_ < 2 * rem) {
-    if (my_index_ % 2 == 0) {
-      send(my_index_ + 1, kTagRabenRS, window(data, elem_size, 0, count), space, bytes);
-      newrank = -1;
-    } else {
-      std::span<std::byte> incoming =
-          data != nullptr ? std::span<std::byte>(tmp.data(), bytes) : std::span<std::byte>{};
-      recv(my_index_ - 1, kTagRabenRS, incoming, space, bytes);
-      if (data != nullptr && reducer != nullptr) reducer->apply(data, tmp.data(), count);
-      reduce_compute(bytes, space, my_index_ - 1);
-      newrank = my_index_ / 2;
-    }
-  } else {
-    newrank = my_index_ - rem;
-  }
-
-  auto old_rank = [&](int nr) { return nr < rem ? nr * 2 + 1 : nr + rem; };
-
-  struct Level {
-    std::size_t pre_off, pre_len;   // window before this split
-    std::size_t kept_off, kept_len;  // my half after the split
-  };
-  std::vector<Level> levels;
-
-  if (newrank != -1) {
-    // Recursive-halving reduce-scatter.
-    std::size_t off = 0;
-    std::size_t len = count;
-    for (int dist = pof2 / 2; dist >= 1; dist /= 2) {
-      const int partner_new = newrank ^ dist;
-      const int partner = old_rank(partner_new);
-      const std::size_t lo = len / 2;
-      Level level{off, len, 0, 0};
-      std::size_t send_off, send_len, keep_off, keep_len;
-      if ((newrank & dist) == 0) {
-        keep_off = off;
-        keep_len = lo;
-        send_off = off + lo;
-        send_len = len - lo;
-      } else {
-        keep_off = off + lo;
-        keep_len = len - lo;
-        send_off = off;
-        send_len = lo;
-      }
-      std::span<std::byte> incoming =
-          data != nullptr ? std::span<std::byte>(tmp.data(), keep_len * elem_size)
-                          : std::span<std::byte>{};
-      sendrecv(partner, kTagRabenRS + 16 + dist, window(data, elem_size, send_off, send_len),
-               partner, kTagRabenRS + 16 + dist, incoming, space, send_len * elem_size,
-               keep_len * elem_size);
-      if (data != nullptr && reducer != nullptr) {
-        reducer->apply(data + keep_off * elem_size, tmp.data(), keep_len);
-      }
-      reduce_compute(keep_len * elem_size, space, partner);
-      level.kept_off = keep_off;
-      level.kept_len = keep_len;
-      levels.push_back(level);
-      off = keep_off;
-      len = keep_len;
-    }
-
-    // Recursive-doubling allgather: undo the splits in reverse order.
-    for (int i = static_cast<int>(levels.size()) - 1; i >= 0; --i) {
-      const Level& level = levels[static_cast<std::size_t>(i)];
-      const int dist = pof2 >> (i + 1);
-      const int partner = old_rank(newrank ^ dist);
-      // Partner holds the complement of my kept window within pre window.
-      std::size_t other_off, other_len;
-      if (level.kept_off == level.pre_off) {
-        other_off = level.pre_off + level.kept_len;
-        other_len = level.pre_len - level.kept_len;
-      } else {
-        other_off = level.pre_off;
-        other_len = level.pre_len - level.kept_len;
-      }
-      sendrecv(partner, kTagRabenAG + 16 + dist,
-               window(data, elem_size, level.kept_off, level.kept_len), partner,
-               kTagRabenAG + 16 + dist, window(data, elem_size, other_off, other_len), space,
-               level.kept_len * elem_size, other_len * elem_size);
-    }
-  }
-
-  // Unfold remainder.
-  if (my_index_ < 2 * rem) {
-    if (my_index_ % 2 == 0) {
-      recv(my_index_ + 1, kTagRabenAG + 1, window(data, elem_size, 0, count), space, bytes);
-    } else {
-      send(my_index_ - 1, kTagRabenAG + 1, window(data, elem_size, 0, count), space, bytes);
-    }
-  }
+  with_remainder_folded(
+      data, elem_size, count, reducer, space,
+      [&](const PowerOfTwoCore& core, int core_rank, std::span<std::byte> tmp) {
+        // At distance `dist` I keep one half of window [off, off + len)
+        // and my partner keeps the other.
+        struct Halves {
+          std::size_t keep_off, keep_len, give_off, give_len;
+        };
+        auto halve = [core_rank](std::size_t off, std::size_t len, int dist) {
+          const std::size_t lo = len / 2;
+          if ((core_rank & dist) == 0) return Halves{off, lo, off + lo, len - lo};
+          return Halves{off + lo, len - lo, off, lo};
+        };
+        // Recursive-halving reduce-scatter, remembering each level's window.
+        std::vector<std::pair<std::size_t, std::size_t>> windows;
+        std::size_t off = 0;
+        std::size_t len = count;
+        for (int dist = core.pof2 / 2; dist >= 1; dist /= 2) {
+          const int partner = core.member(core_rank ^ dist);
+          const Halves h = halve(off, len, dist);
+          windows.emplace_back(off, len);
+          sendrecv(partner, kTagRabenRS + dist, window(data, elem_size, h.give_off, h.give_len),
+                   partner, kTagRabenRS + dist,
+                   data != nullptr ? tmp.first(h.keep_len * elem_size) : tmp, space,
+                   h.give_len * elem_size, h.keep_len * elem_size);
+          reduce_in(data, elem_size, h.keep_off, h.keep_len, tmp.data(), reducer, space, partner);
+          off = h.keep_off;
+          len = h.keep_len;
+        }
+        // Recursive-doubling allgather: undo the splits in reverse order.
+        for (int dist = 1; dist < core.pof2; dist *= 2) {
+          const int partner = core.member(core_rank ^ dist);
+          const Halves h = halve(windows.back().first, windows.back().second, dist);
+          windows.pop_back();
+          sendrecv(partner, kTagRabenAG + dist, window(data, elem_size, h.keep_off, h.keep_len),
+                   partner, kTagRabenAG + dist, window(data, elem_size, h.give_off, h.give_len),
+                   space, h.keep_len * elem_size, h.give_len * elem_size);
+        }
+      });
 }
 
 void Communicator::reduce_bytes(std::byte* data, std::size_t elem_size, std::size_t count,
                                 const Reducer* reducer, int root, MemSpace space) {
   ensure_live("reduce", -1);
-  const int n = size();
-  if (n == 1 || count == 0) return;
+  if (size() == 1 || count == 0) return;
   const std::size_t bytes = count * elem_size;
   std::vector<std::byte> tmp;
   if (data != nullptr) tmp.resize(bytes);
-  const int vrank = (my_index_ - root + n) % n;
-
-  int mask = 1;
-  while (mask < n) {
-    if ((vrank & mask) == 0) {
-      const int vpartner = vrank | mask;
-      if (vpartner < n) {
-        const int partner = (vpartner + root) % n;
-        std::span<std::byte> incoming =
-            data != nullptr ? std::span<std::byte>(tmp) : std::span<std::byte>{};
-        recv(partner, kTagReduce, incoming, space, bytes);
-        if (data != nullptr && reducer != nullptr) reducer->apply(data, tmp.data(), count);
-        reduce_compute(bytes, space, partner);
-      }
-    } else {
-      const int partner = ((vrank & ~mask) + root) % n;
-      send(partner, kTagReduce, window(data, elem_size, 0, count), space, bytes);
-      break;
+  const BinomialTree tree(size(), root, my_index_);
+  for (int mask = 1; mask < tree.low; mask <<= 1) {
+    if (const int child = tree.child(mask); child >= 0) {
+      recv(child, kTagReduce, tmp, space, bytes);
+      reduce_in(data, elem_size, 0, count, tmp.data(), reducer, space, child);
     }
-    mask <<= 1;
+  }
+  if (tree.parent() >= 0) {
+    send(tree.parent(), kTagReduce, window(data, elem_size, 0, count), space, bytes);
   }
 }
 
@@ -1003,86 +865,39 @@ void Communicator::allreduce_bytes(std::byte* data, std::size_t elem_size, std::
 void Communicator::ring_reduce_to_root(std::byte* data, std::size_t elem_size, std::size_t count,
                                        const Reducer* reducer, MemSpace space) {
   const int n = size();
-  if (n == 1 || count == 0) return;
-  // Phase 1: ring reduce-scatter (pipelined, bandwidth-optimal) so every
-  // rank owns one fully-reduced segment...
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) { return base + (static_cast<std::size_t>(s) < extra ? 1 : 0); };
-
-  std::vector<std::byte> tmp;
-  if (data != nullptr) tmp.resize((base + 1) * elem_size);
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    const std::size_t send_bytes = seg_len(send_seg) * elem_size;
-    const std::size_t recv_bytes = seg_len(recv_seg) * elem_size;
-    std::span<std::byte> incoming =
-        data != nullptr ? std::span<std::byte>(tmp.data(), recv_bytes) : std::span<std::byte>{};
-    sendrecv(right, kTagRingRS + step, window(data, elem_size, seg_off(send_seg), seg_len(send_seg)),
-             left, kTagRingRS + step, incoming, space, send_bytes, recv_bytes);
-    if (data != nullptr && reducer != nullptr) {
-      reducer->apply(data + seg_off(recv_seg) * elem_size, tmp.data(), seg_len(recv_seg));
-    }
-    reduce_compute(recv_bytes, space, left);
-  }
-  // ...Phase 2: gather the reduced segments at root 0. After n-1 steps,
-  // rank r owns segment (r + 1) mod n fully reduced.
-  const int owned = (my_index_ + 1) % n;
+  const Segments segs{count, n};
+  ring_reduce_scatter(data, elem_size, segs, reducer, space);
+  // Member r owns segment (r + 1) mod n fully reduced; gather them at 0.
   if (my_index_ == 0) {
     for (int r = 1; r < n; ++r) {
       const int seg = (r + 1) % n;
-      if (seg_len(seg) == 0) continue;
-      recv(r, kTagGather + 1, window(data, elem_size, seg_off(seg), seg_len(seg)), space,
-           seg_len(seg) * elem_size);
+      if (segs.len(seg) == 0) continue;
+      recv(r, kTagGather + 1, window(data, elem_size, segs.off(seg), segs.len(seg)), space,
+           segs.len(seg) * elem_size);
     }
-  } else if (seg_len(owned) > 0) {
-    send(0, kTagGather + 1, window(data, elem_size, seg_off(owned), seg_len(owned)), space,
-         seg_len(owned) * elem_size);
+  } else if (const int seg = (my_index_ + 1) % n; segs.len(seg) > 0) {
+    send(0, kTagGather + 1, window(data, elem_size, segs.off(seg), segs.len(seg)), space,
+         segs.len(seg) * elem_size);
   }
 }
 
 void Communicator::scatter_allgather_bcast(std::byte* data, std::size_t elem_size,
                                            std::size_t count, MemSpace space) {
-  const int n = size();
-  if (n == 1 || count == 0) return;
   // Large-message broadcast as scatter + ring allgather (van de Geijn),
   // moving ~2x the data total instead of log2(n)x.
-  const std::size_t base = count / static_cast<std::size_t>(n);
-  const std::size_t extra = count % static_cast<std::size_t>(n);
-  auto seg_off = [&](int s) {
-    const auto u = static_cast<std::size_t>(s);
-    return u * base + std::min(u, extra);
-  };
-  auto seg_len = [&](int s) { return base + (static_cast<std::size_t>(s) < extra ? 1 : 0); };
-
+  const int n = size();
+  const Segments segs{count, n};
   if (my_index_ == 0) {
     for (int r = 1; r < n; ++r) {
-      if (seg_len(r) == 0) continue;
-      send(r, kTagBcast + 1, window(data, elem_size, seg_off(r), seg_len(r)), space,
-           seg_len(r) * elem_size);
+      if (segs.len(r) == 0) continue;
+      send(r, kTagBcast + 1, window(data, elem_size, segs.off(r), segs.len(r)), space,
+           segs.len(r) * elem_size);
     }
-  } else if (seg_len(my_index_) > 0) {
-    recv(0, kTagBcast + 1, window(data, elem_size, seg_off(my_index_), seg_len(my_index_)), space,
-         seg_len(my_index_) * elem_size);
+  } else if (segs.len(my_index_) > 0) {
+    recv(0, kTagBcast + 1, window(data, elem_size, segs.off(my_index_), segs.len(my_index_)),
+         space, segs.len(my_index_) * elem_size);
   }
-
-  const int right = (my_index_ + 1) % n;
-  const int left = (my_index_ - 1 + n) % n;
-  for (int step = 0; step < n - 1; ++step) {
-    const int send_seg = (my_index_ - step + n) % n;
-    const int recv_seg = (my_index_ - step - 1 + n) % n;
-    sendrecv(right, kTagRingAG + step,
-             window(data, elem_size, seg_off(send_seg), seg_len(send_seg)), left,
-             kTagRingAG + step, window(data, elem_size, seg_off(recv_seg), seg_len(recv_seg)),
-             space, seg_len(send_seg) * elem_size, seg_len(recv_seg) * elem_size);
-  }
+  ring_allgather(data, elem_size, segs, 0, space);
 }
 
 void Communicator::hierarchical_bytes(std::byte* data, std::size_t elem_size, std::size_t count,
@@ -1136,15 +951,9 @@ void Communicator::allreduce_custom(std::byte* data, std::size_t elem_size, std:
 }
 
 void Communicator::allreduce_sim(std::size_t bytes, MemSpace space,
-                                 std::optional<AllreduceAlgo> algo) {
+                                 std::optional<AllreduceAlgo> algo, bool hierarchical) {
   allreduce_custom(nullptr, 4, (bytes + 3) / 4, detail::make_reducer<float>(ReduceOp::kSum),
-                   space, algo);
-}
-
-void Communicator::hierarchical_allreduce_sim(std::size_t bytes, MemSpace space,
-                                              std::optional<AllreduceAlgo> leader_algo) {
-  allreduce_custom(nullptr, 4, (bytes + 3) / 4, detail::make_reducer<float>(ReduceOp::kSum),
-                   space, leader_algo, /*hierarchical=*/true);
+                   space, algo, hierarchical);
 }
 
 Communicator Communicator::split(int color) {

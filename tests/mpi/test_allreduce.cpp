@@ -157,7 +157,7 @@ TEST(AllreduceSim, HierarchicalVariant) {
   options.profile = dlscale::net::MpiProfile::mvapich2_gdr_like();
   options.timing = true;
   dm::run_world(options, [](dm::Communicator& comm) {
-    comm.hierarchical_allreduce_sim(16 << 20, dm::MemSpace::kDevice);
+    comm.allreduce_sim(16 << 20, dm::MemSpace::kDevice, std::nullopt, /*hierarchical=*/true);
     EXPECT_GT(comm.now(), 0.0);
   });
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "dlscale/mpi/comm.hpp"
@@ -39,33 +40,41 @@ TEST(Bcast, LargePayload) {
 }
 
 TEST(BcastBlob, VariableLength) {
-  dm::run_world(3, [](dm::Communicator& comm) {
-    std::string payload = comm.rank() == 0 ? "tensor-response-list" : "";
-    const auto blob =
-        comm.bcast_blob(std::as_bytes(std::span<const char>(payload.data(), payload.size())), 0);
-    EXPECT_EQ(std::string(reinterpret_cast<const char*>(blob.data()), blob.size()),
-              "tensor-response-list");
-  });
+  // Non-roots' arguments are ignored; an empty blob arrives empty.
+  for (const std::string expected : {"tensor-response-list", "negotiation payload", ""}) {
+    for (const int root : {0, 2}) {
+      dm::run_world(3, [&](dm::Communicator& comm) {
+        const std::string payload = comm.rank() == root ? expected : "ignored";
+        const auto blob = comm.bcast_blob(
+            std::as_bytes(std::span<const char>(payload.data(), payload.size())), root);
+        EXPECT_EQ(std::string(reinterpret_cast<const char*>(blob.data()), blob.size()),
+                  expected);
+      });
+    }
+  }
 }
 
 TEST(GatherBlobs, VariableLengthAtRoot) {
-  dm::run_world(4, [](dm::Communicator& comm) {
-    // Each rank contributes rank+1 bytes of its rank id.
-    std::vector<std::byte> mine(static_cast<std::size_t>(comm.rank() + 1),
-                                static_cast<std::byte>(comm.rank()));
-    const auto all = comm.gather_blobs(mine, 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(all.size(), 4u);
-      for (int r = 0; r < 4; ++r) {
-        EXPECT_EQ(all[static_cast<std::size_t>(r)].size(), static_cast<std::size_t>(r + 1));
-        for (auto b : all[static_cast<std::size_t>(r)]) {
-          EXPECT_EQ(static_cast<int>(b), r);
+  // Rank r contributes r+1 bytes of its rank id, except rank 1, whose blob
+  // is empty.
+  auto length = [](int r) { return static_cast<std::size_t>(r == 1 ? 0 : r + 1); };
+  for (const int root : {0, 3}) {
+    dm::run_world(4, [&](dm::Communicator& comm) {
+      std::vector<std::byte> mine(length(comm.rank()), static_cast<std::byte>(comm.rank()));
+      const auto all = comm.gather_blobs(mine, root);
+      if (comm.rank() == root) {
+        ASSERT_EQ(all.size(), 4u);
+        for (int r = 0; r < 4; ++r) {
+          EXPECT_EQ(all[static_cast<std::size_t>(r)].size(), length(r));
+          for (auto b : all[static_cast<std::size_t>(r)]) {
+            EXPECT_EQ(static_cast<int>(b), r);
+          }
         }
+      } else {
+        EXPECT_TRUE(all.empty());
       }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
+    });
+  }
 }
 
 TEST(Allgather, RingDistributesBlocks) {
@@ -89,6 +98,20 @@ TEST(Allgather, WrongOutputSizeThrows) {
                                std::vector<int> out(3);
                                comm.allgather(std::as_bytes(std::span<const int>(mine)),
                                               std::as_writable_bytes(std::span<int>(out)));
+                             }),
+               std::invalid_argument);
+}
+
+TEST(Allgather, LogicalBlockDifferentFromPayloadThrows) {
+  // The logical block size sizes each ring segment, so with a payload it
+  // must be the real block size.
+  EXPECT_THROW(dm::run_world(2,
+                             [](dm::Communicator& comm) {
+                               std::vector<int> mine{1};
+                               std::vector<int> out(2);
+                               comm.allgather(std::as_bytes(std::span<const int>(mine)),
+                                              std::as_writable_bytes(std::span<int>(out)),
+                                              dm::MemSpace::kHost, 64);
                              }),
                std::invalid_argument);
 }

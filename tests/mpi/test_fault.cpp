@@ -76,23 +76,24 @@ TEST(FaultKill, BlockedRecvIsWokenByKill) {
   });
 }
 
-TEST(FaultKill, IrecvWaitStraddlingKillRaises) {
-  // Satellite: isend/irecv pairs posted before the kill; wait() after the
-  // kill must raise RankFailed, not hang or deliver garbage.
+TEST(FaultKill, RecvBlockedAcrossKillRaises) {
+  // A recv posted while its sender is alive and never matched must raise
+  // RankFailed naming that sender and the tag once it dies, not hang or
+  // deliver garbage.
   auto options = functional_world(3);
   options.faults.kills = {{/*global_rank=*/1, /*at_step=*/0}};
-  dm::run_world(options, [](dm::Communicator& comm) {
+  std::atomic<bool> posting{false};
+  dm::run_world(options, [&](dm::Communicator& comm) {
     if (comm.rank() == 1) {
+      while (!posting.load()) std::this_thread::yield();
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       comm.fault_tick();
     } else if (comm.rank() == 2) {
       std::vector<float> theirs(4);
-      // Posted while rank 1 is still alive; never matched.
-      auto request = comm.irecv(1, 11, std::as_writable_bytes(std::span<float>(theirs)));
-      EXPECT_FALSE(request.completed());
+      posting.store(true);
       try {
-        request.wait();
-        FAIL() << "wait() completed against a dead sender";
+        comm.recv(1, 11, std::as_writable_bytes(std::span<float>(theirs)));
+        FAIL() << "recv completed against a dead sender";
       } catch (const dm::RankFailed& e) {
         EXPECT_EQ(e.failed_global_rank, 1);
         EXPECT_EQ(e.tag, 11);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "dlscale/mpi/comm.hpp"
@@ -106,25 +107,28 @@ TEST(Pt2Pt, SendRecvExchange) {
   });
 }
 
+// In a two-rank world a blob broadcast is one variable-length message from
+// rank 0 to rank 1.
 TEST(Pt2Pt, BlobRoundtrip) {
   dm::run_world(2, [](dm::Communicator& comm) {
-    if (comm.rank() == 0) {
-      const std::string text = "negotiation payload";
-      comm.send_blob(1, 11, std::as_bytes(std::span<const char>(text.data(), text.size())));
-    } else {
-      const auto blob = comm.recv_blob(0, 11);
-      const std::string text(reinterpret_cast<const char*>(blob.data()), blob.size());
-      EXPECT_EQ(text, "negotiation payload");
-    }
+    const std::string text = comm.rank() == 0 ? "negotiation payload" : "";
+    const auto blob =
+        comm.bcast_blob(std::as_bytes(std::span<const char>(text.data(), text.size())), 0);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(blob.data()), blob.size()),
+              "negotiation payload");
   });
 }
 
 TEST(Pt2Pt, EmptyBlob) {
   dm::run_world(2, [](dm::Communicator& comm) {
-    if (comm.rank() == 0) {
-      comm.send_blob(1, 12, {});
+    EXPECT_TRUE(comm.bcast_blob({}, 0).empty());
+    const auto all = comm.gather_blobs({}, 1);
+    if (comm.rank() == 1) {
+      ASSERT_EQ(all.size(), 2u);
+      EXPECT_TRUE(all[0].empty());
+      EXPECT_TRUE(all[1].empty());
     } else {
-      EXPECT_TRUE(comm.recv_blob(0, 12).empty());
+      EXPECT_TRUE(all.empty());
     }
   });
 }
