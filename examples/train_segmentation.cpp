@@ -41,8 +41,9 @@ namespace {
 // Parses "--inject-kill rank=R,step=S" (or --inject-kill=rank=R,step=S)
 // and "--compression CODEC" (or --compression=CODEC) out of argv, leaving
 // positional arguments where they are.
-bool parse_flags(int argc, char** argv, std::vector<int>& positional, int& kill_rank,
-                 long& kill_step, std::optional<hvd::CompressionAlgo>& compression) {
+bool parse_flags(int argc, char** argv, std::vector<int>& positional, bool& inject,
+                 int& kill_rank, long& kill_step,
+                 std::optional<hvd::CompressionAlgo>& compression) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* spec = nullptr;
@@ -53,6 +54,7 @@ bool parse_flags(int argc, char** argv, std::vector<int>& positional, int& kill_
     }
     if (spec) {
       if (std::sscanf(spec, "rank=%d,step=%ld", &kill_rank, &kill_step) != 2) return false;
+      inject = true;
       continue;
     }
     const char* codec = nullptr;
@@ -79,16 +81,17 @@ bool parse_flags(int argc, char** argv, std::vector<int>& positional, int& kill_
 
 int main(int argc, char** argv) {
   std::vector<int> positional;
+  bool inject = false;
   int kill_rank = -1;
   long kill_step = -1;
   std::optional<hvd::CompressionAlgo> compression;
-  if (!parse_flags(argc, argv, positional, kill_rank, kill_step, compression)) {
+  if (!parse_flags(argc, argv, positional, inject, kill_rank, kill_step, compression)) {
     return 1;
   }
-  const bool inject = kill_rank >= 0;
   const int world = positional.size() > 0 ? positional[0] : 4;
   const int epochs = positional.size() > 1 ? positional[1] : 5;
-  if (world < 1 || epochs < 1 || (inject && kill_rank >= world)) {
+  if (world < 1 || epochs < 1 ||
+      (inject && (kill_rank < 0 || kill_rank >= world || kill_step < 0))) {
     std::fprintf(stderr,
                  "usage: %s [ranks >= 1] [epochs >= 1] [--inject-kill rank=R,step=S] "
                  "[--compression none|fp16|int8|topk]\n",

@@ -45,48 +45,22 @@ using net::MemSpace;
 enum class ReduceOp { kSum, kMax, kMin };
 
 /// Fault-injection plan for a world (WorldOptions::faults). The failure
-/// model is fail-stop: a killed rank stops executing at a well-defined
-/// point (its own step counter reaching `at_step`, or its virtual clock
-/// passing `at_time_s`) and never communicates again. Message
-/// perturbations model a flaky link rather than a dead one: a "dropped"
-/// message is lost on the wire and retransmitted after a timeout (so
-/// receivers never hang), a "delayed" message simply lands late. Both are
-/// decided by a deterministic per-message hash of `seed`, so a plan
-/// replays identically across runs and thread interleavings.
+/// model is fail-stop: a killed rank dies at a well-defined point, the
+/// fault_tick() that brings its own step counter to `at_step`, and never
+/// communicates again. Survivors observe the death as RankFailed and
+/// recover through shrink() (DESIGN.md §11). run_world rejects a plan
+/// with a kill that cannot fire.
 struct FaultPlan {
   struct Kill {
-    int global_rank = -1;
+    int global_rank = -1;  ///< in [0, world_size)
     /// Die when this rank's fault_tick() count reaches at_step (steps are
-    /// whatever the application ticks: optimisation steps in train::,
-    /// iterations in perf::simulate). Negative disables.
+    /// whatever the application ticks: optimisation steps in train::).
+    /// Must be >= 0.
     long at_step = -1;
-    /// Die at the first communication attempt with the rank's virtual
-    /// clock at or past this time (timing worlds only). Negative disables.
-    double at_time_s = -1.0;
   };
   std::vector<Kill> kills;
 
-  /// Per-message probability the payload is lost and retransmitted after
-  /// `retransmit_s` virtual seconds (timing worlds; in functional worlds
-  /// the loss is counted but delivery is immediate).
-  double drop_prob = 0.0;
-  double retransmit_s = 1e-3;
-  /// Per-message probability of an extra `delay_s` of latency.
-  double delay_prob = 0.0;
-  double delay_s = 0.0;
-  std::uint64_t seed = 0x5EEDF417ull;
-  /// Restrict drop/delay to messages SENT by this global rank (negative =
-  /// any sender) inside the virtual-time window [window_from_s,
-  /// window_until_s) (negative bounds = unbounded). This is the node-flap
-  /// shape: one node's NIC goes bad for a while, then recovers.
-  int flaky_rank = -1;
-  double window_from_s = -1.0;
-  double window_until_s = -1.0;
-
   [[nodiscard]] bool any_kills() const noexcept { return !kills.empty(); }
-  [[nodiscard]] bool any_link_faults() const noexcept {
-    return drop_prob > 0.0 || delay_prob > 0.0;
-  }
 };
 
 /// Configuration for a world of ranks.
@@ -94,7 +68,7 @@ struct WorldOptions {
   net::Topology topology{net::Topology::single_node(1)};
   net::MpiProfile profile{net::MpiProfile::ideal()};
   bool timing = true;  ///< advance virtual clocks through the cost model
-  FaultPlan faults{};  ///< rank kills and link perturbations to inject
+  FaultPlan faults{};  ///< step-triggered rank kills to inject
 };
 
 /// Per-rank communication counters (virtual-time based when timing is on).
@@ -102,8 +76,6 @@ struct CommStats {
   double comm_time_s = 0.0;     ///< virtual seconds the rank's clock advanced inside comm ops
   std::uint64_t messages = 0;   ///< point-to-point messages received
   std::uint64_t bytes = 0;      ///< logical payload bytes received
-  std::uint64_t messages_dropped = 0;  ///< sends lost+retransmitted by the FaultPlan
-  std::uint64_t messages_delayed = 0;  ///< sends delayed by the FaultPlan
 };
 
 /// The single error channel of the failure-aware comm API: thrown by any
@@ -284,11 +256,10 @@ class Communicator {
 
   // ---- fault awareness ----
 
-  /// Advance this rank's application step counter and fire any FaultPlan
-  /// trigger that matches (step- or time-based kill for this rank). The
-  /// dying rank's thread exits via RankKilled; nothing happens for ranks
-  /// the plan leaves alone. Call once per training step / simulation
-  /// iteration, from the rank's own thread.
+  /// Advance this rank's application step counter and fire the FaultPlan
+  /// kill that matches it, if any. The dying rank's thread exits via
+  /// RankKilled; nothing happens for ranks the plan leaves alone. Call
+  /// once per training step, from the rank's own thread.
   void fault_tick();
 
   /// Communicator-member indices (NOT global ranks) of members currently
@@ -389,13 +360,11 @@ class Communicator {
   void reduce_in(std::byte* data, std::size_t elem_size, std::size_t off, std::size_t len,
                  const std::byte* in, const Reducer* reducer, MemSpace space, int src);
 
-  // Raise RankFailed if any member of this communicator is dead, and fire
-  // any time-triggered kill for this rank first. `expected_src` (member
-  // index) names the peer a recv is waiting on so the exception blames
-  // the awaited sender when IT is the dead one.
+  // Raise RankFailed if any member of this communicator is dead.
+  // `expected_src` (member index) names the peer a recv is waiting on so
+  // the exception blames the awaited sender when IT is the dead one.
   void ensure_live(const char* op, int tag, int expected_src = -1);
   [[noreturn]] void raise_failed(int first_dead_global, const char* op, int tag, int expected_src);
-  void maybe_die_on_time();
   [[noreturn]] void die();
 
   World* world_;
@@ -412,6 +381,8 @@ class Communicator {
 
 /// Launch `options.topology.world_size()` rank threads, run `body` on
 /// each, join, and propagate the first exception thrown by any rank.
+/// Throws std::invalid_argument, before any rank starts, if a FaultPlan
+/// kill names a rank outside the world or a negative step.
 void run_world(const WorldOptions& options, const std::function<void(Communicator&)>& body);
 
 /// Convenience: ideal profile, single-node topology of `world_size` ranks,

@@ -58,18 +58,6 @@ IterationProfile profile_iteration(const models::WorkloadSpec& workload,
 /// Single-GPU training throughput (img/s) — no communication at all.
 double single_gpu_throughput(const models::WorkloadSpec& workload, double flop_efficiency);
 
-/// Degraded-cluster scenario injected into a simulation. All scenarios
-/// are seed-deterministic: the same config simulates the same run.
-enum class ScenarioMode {
-  kNone,        ///< healthy steady state (the default)
-  kPreemption,  ///< `scenario_rank` is killed mid-run; survivors shrink
-                ///< the communicator, rebuild the runtime, and continue
-  kStraggler,   ///< `scenario_rank` computes `straggler_factor` slower;
-                ///< synchronous training pays the max over ranks
-  kNodeFlap,    ///< `scenario_rank`'s links drop (and retransmit) inside
-                ///< a virtual-time window — a flapping NIC, not a death
-};
-
 /// One distributed-training simulation configuration.
 struct ScalingConfig {
   models::WorkloadSpec workload;
@@ -91,23 +79,6 @@ struct ScalingConfig {
   /// best seen); the measured iterations then run on the converged knobs.
   hvd::AutotuneOptions autotune{};
   int max_tuning_iterations = 256;
-  /// Fault scenario (see ScenarioMode). The victim is `scenario_rank`.
-  ScenarioMode scenario = ScenarioMode::kNone;
-  int scenario_rank = 1;
-  /// kPreemption: the victim dies at this iteration attempt, counted
-  /// across warmup, tuning, and measurement (each attempt is one
-  /// FaultPlan tick).
-  int preempt_at_iteration = 2;
-  /// kStraggler: multiplier on the victim's per-iteration compute time.
-  double straggler_factor = 2.0;
-  /// kNodeFlap: per-message drop probability on the victim's links, and
-  /// the virtual-time window the flap is active in (negative bounds mean
-  /// unbounded on that side). Drops are lost-and-retransmitted — latency,
-  /// never data loss.
-  double flap_drop_prob = 0.3;
-  double flap_from_s = -1.0;
-  double flap_until_s = -1.0;
-  std::uint64_t scenario_seed = 0xF1A6ull;
 };
 
 /// Result of one simulated configuration.
@@ -122,10 +93,6 @@ struct ScalingResult {
   bool autotuned = false;           ///< config.autotune.enabled
   hvd::Knobs tuned_knobs;           ///< knobs the measured iterations ran on
   int tuning_iterations = 0;        ///< iterations spent tuning (unmeasured)
-  int final_gpus = 0;               ///< world size at the end (shrinks under kPreemption)
-  int failures = 0;                 ///< rank failures recovered from
-  int recovery_iterations = 0;      ///< iteration attempts lost to failures
-  double recovery_virtual_s = 0.0;  ///< virtual time burned by failed attempts + rebuilds
 };
 
 /// Simulate `config.iterations` steady-state training iterations on a

@@ -19,8 +19,9 @@ struct DecisionWire {
   template <typename T>
   static void put(std::vector<std::byte>& out, const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto* raw = reinterpret_cast<const std::byte*>(&value);
-    out.insert(out.end(), raw, raw + sizeof(T));
+    const std::size_t at = out.size();
+    out.resize(at + sizeof(T));
+    std::memcpy(out.data() + at, &value, sizeof(T));
   }
   template <typename T>
   static T get(std::span<const std::byte> in, std::size_t& pos) {

@@ -69,20 +69,6 @@ std::uint64_t mix_comm_id(std::uint64_t parent, std::uint64_t seq, int color) {
   return h ^ (h >> 31);
 }
 
-// Deterministic per-message uniform in [0, 1): a splitmix64-style hash of
-// (seed, sender, per-sender sequence number, salt). Independent of thread
-// interleaving, so FaultPlan drop/delay decisions replay exactly.
-double hash_uniform(std::uint64_t seed, int sender, std::uint64_t seq, std::uint64_t salt) {
-  std::uint64_t x = seed ^ (static_cast<std::uint64_t>(sender + 1) * 0x9E3779B97F4A7C15ull) ^
-                    ((seq + 1) * 0xBF58476D1CE4E5B9ull) ^ ((salt + 1) * 0x94D049BB133111EBull);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 RankFailed::RankFailed(int failed_global_rank_, std::string op_, int tag_)
@@ -108,8 +94,7 @@ class World {
         stats_(static_cast<std::size_t>(options.topology.world_size())),
         shards_(static_cast<std::size_t>(options.topology.world_size())),
         dead_(static_cast<std::size_t>(options.topology.world_size()), 0),
-        ticks_(static_cast<std::size_t>(options.topology.world_size()), 0),
-        send_seq_(static_cast<std::size_t>(options.topology.world_size()), 0) {}
+        ticks_(static_cast<std::size_t>(options.topology.world_size()), 0) {}
 
   void post(const MailKey& key, Message message) {
     Shard& shard = shards_[static_cast<std::size_t>(key.dst)];
@@ -200,29 +185,6 @@ class World {
   /// This rank's application step counter (post-increment).
   long next_tick(int global_rank) { return ticks_[static_cast<std::size_t>(global_rank)]++; }
 
-  /// Apply the FaultPlan's drop/delay perturbation to an outgoing
-  /// message. Drops model loss + retransmit (the payload still arrives,
-  /// `retransmit_s` later), so blocking receivers never hang on a lossy
-  /// link. In non-timing worlds the events are counted but delivery is
-  /// unaffected.
-  void perturb(Message& message, int sender_global) {
-    const FaultPlan& plan = options_.faults;
-    if (plan.flaky_rank >= 0 && sender_global != plan.flaky_rank) return;
-    const double t = clocks_[static_cast<std::size_t>(sender_global)].now();
-    if (plan.window_from_s >= 0 && t < plan.window_from_s) return;
-    if (plan.window_until_s >= 0 && t >= plan.window_until_s) return;
-    const std::uint64_t seq = send_seq_[static_cast<std::size_t>(sender_global)]++;
-    auto& st = stats_[static_cast<std::size_t>(sender_global)];
-    if (hash_uniform(plan.seed, sender_global, seq, 0) < plan.drop_prob) {
-      ++st.messages_dropped;
-      if (options_.timing) message.available_at += plan.retransmit_s;
-    }
-    if (hash_uniform(plan.seed, sender_global, seq, 1) < plan.delay_prob) {
-      ++st.messages_delayed;
-      if (options_.timing) message.available_at += plan.delay_s;
-    }
-  }
-
   /// Survivor rendezvous behind Communicator::shrink(). Blocks until
   /// every live member of `comm` has arrived (ranks that die while we
   /// wait stop being waited for), then hands every participant the same
@@ -247,10 +209,6 @@ class World {
       if (survivors[r] == comm.global_rank()) my_new_index = static_cast<int>(r);
     }
     return Communicator(this, new_id, std::move(survivors), my_new_index);
-  }
-
-  [[nodiscard]] bool link_faults_active() const noexcept {
-    return options_.faults.any_link_faults();
   }
 
   [[nodiscard]] VirtualClock& clock(int global_rank) {
@@ -310,8 +268,7 @@ class World {
   std::vector<char> dead_;
   std::vector<int> deaths_;  ///< global ranks in death order
   std::atomic<std::uint64_t> epoch_{1};
-  std::vector<long> ticks_;               ///< per-rank fault_tick counters
-  std::vector<std::uint64_t> send_seq_;   ///< per-sender message counters (drop/delay RNG)
+  std::vector<long> ticks_;  ///< per-rank fault_tick counters
   std::mutex shrink_mutex_;
   std::condition_variable shrink_cv_;
   std::uint64_t shrink_seq_ = 0;
@@ -368,7 +325,6 @@ void Communicator::send(int dst, int tag, std::span<const std::byte> data, MemSp
       world_->stats(gsrc).comm_time_s += cost.setup_s + cost.wire_s;
     }
   }
-  if (world_->link_faults_active()) world_->perturb(message, gsrc);
   world_->post(MailKey{comm_id_, my_index_, dst, tag}, std::move(message));
 }
 
@@ -701,11 +657,11 @@ void Communicator::gather(std::span<const std::byte> mine, std::span<std::byte> 
       throw std::invalid_argument("gather: root blocks must hold size() blocks");
     }
     for (int r = 0; r < n; ++r) {
-      auto dst = blocks.subspan(block * static_cast<std::size_t>(r), block);
+      std::byte* dst = blocks.data() + block * static_cast<std::size_t>(r);
       if (r == my_index_) {
-        std::copy(mine.begin(), mine.end(), dst.begin());
+        if (block != 0) std::memcpy(dst, mine.data(), block);
       } else {
-        recv(r, kTagGather + 2, dst, space);
+        recv(r, kTagGather + 2, {dst, block}, space);
       }
     }
   } else {
@@ -1016,15 +972,6 @@ void Communicator::die() {
   throw RankKilled{grank};
 }
 
-void Communicator::maybe_die_on_time() {
-  if (!world_->options().timing) return;
-  const int grank = global_rank();
-  const double now_s = world_->clock(grank).now();
-  for (const FaultPlan::Kill& k : world_->options().faults.kills) {
-    if (k.global_rank == grank && k.at_time_s >= 0 && now_s >= k.at_time_s) die();
-  }
-}
-
 void Communicator::raise_failed(int first_dead_global, const char* op, int tag,
                                 int expected_src) {
   // Blame the awaited sender when it is the dead one, so a recv's
@@ -1037,7 +984,6 @@ void Communicator::raise_failed(int first_dead_global, const char* op, int tag,
 
 void Communicator::ensure_live(const char* op, int tag, int expected_src) {
   if (!world_->options().faults.any_kills()) return;
-  maybe_die_on_time();
   const int dead = world_->first_dead_among(members_);
   if (dead != -1) raise_failed(dead, op, tag, expected_src);
 }
@@ -1048,9 +994,8 @@ void Communicator::fault_tick() {
   const int grank = global_rank();
   const long tick = world_->next_tick(grank);
   for (const FaultPlan::Kill& k : plan.kills) {
-    if (k.global_rank == grank && k.at_step >= 0 && tick == k.at_step) die();
+    if (k.global_rank == grank && tick == k.at_step) die();
   }
-  maybe_die_on_time();
 }
 
 std::vector<int> Communicator::alive() const {
@@ -1066,10 +1011,7 @@ std::uint64_t Communicator::world_epoch() const { return world_->epoch(); }
 
 bool Communicator::revoked() const { return world_->first_dead_among(members_) != -1; }
 
-Communicator Communicator::shrink() {
-  maybe_die_on_time();
-  return world_->shrink(*this);
-}
+Communicator Communicator::shrink() { return world_->shrink(*this); }
 
 // ---------------------------------------------------------------------------
 // world runner
@@ -1077,6 +1019,18 @@ Communicator Communicator::shrink() {
 
 void run_world(const WorldOptions& options, const std::function<void(Communicator&)>& body) {
   const int world_size = options.topology.world_size();
+  // A kill that can never fire would silently leave the run healthy.
+  for (const FaultPlan::Kill& k : options.faults.kills) {
+    if (k.global_rank < 0 || k.global_rank >= world_size) {
+      throw std::invalid_argument("FaultPlan: kill global_rank " + std::to_string(k.global_rank) +
+                                  " is outside the world of " + std::to_string(world_size) +
+                                  " ranks");
+    }
+    if (k.at_step < 0) {
+      throw std::invalid_argument("FaultPlan: kill at_step " + std::to_string(k.at_step) +
+                                  " is negative");
+    }
+  }
   World world(options);
 
   std::mutex error_mutex;

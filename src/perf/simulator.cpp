@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <optional>
-#include <span>
 #include <stdexcept>
 
 #include "dlscale/net/topology.hpp"
@@ -61,62 +58,18 @@ ScalingResult simulate(const ScalingConfig& config) {
   options.profile = config.mpi_profile;
   options.timing = true;
   const int gpus = options.topology.world_size();
-  switch (config.scenario) {
-    case ScenarioMode::kPreemption:
-      options.faults.kills = {{config.scenario_rank, config.preempt_at_iteration}};
-      break;
-    case ScenarioMode::kNodeFlap:
-      options.faults.flaky_rank = config.scenario_rank;
-      options.faults.drop_prob = config.flap_drop_prob;
-      options.faults.window_from_s = config.flap_from_s;
-      options.faults.window_until_s = config.flap_until_s;
-      options.faults.seed = config.scenario_seed;
-      break;
-    case ScenarioMode::kStraggler:  // pure compute-side: no fault plan
-    case ScenarioMode::kNone:
-      break;
-  }
 
   double mean_iteration = 0.0;
   hvd::RuntimeStats stats;
   hvd::Knobs tuned_knobs = config.knobs;
   int tuning_iterations = 0;
-  int final_gpus = gpus;
-  int failures = 0;
-  int recovery_iterations = 0;
-  double recovery_virtual_s = 0.0;
 
-  mpi::run_world(options, [&](mpi::Communicator& world) {
-    // Local copy so a preemption can swap in the shrunken communicator;
-    // the runtime lives in an optional for the same reason.
-    mpi::Communicator comm = world;
-    std::optional<hvd::HorovodRuntime> runtime(std::in_place, comm, config.knobs, gpu);
-    std::optional<hvd::Autotuner> tuner;
+  mpi::run_world(options, [&](mpi::Communicator& comm) {
+    hvd::HorovodRuntime runtime(comm, config.knobs, gpu);
     util::Rng jitter_rng =
         util::Rng(config.jitter_seed).child(static_cast<std::uint64_t>(comm.rank()));
 
-    // Progress is tracked as counters that can be ROLLED BACK. Survivors
-    // do not detect a failure at the same attempt: a revoked communicator
-    // raises from every operation once the victim is dead, so a rank that
-    // happened to finish attempt k just before the death loses k+1, while
-    // a slower peer loses k itself. Left alone, the diverged loop counters
-    // make survivors run different numbers of collectives on the rebuilt
-    // communicator — a guaranteed deadlock. After each shrink the
-    // survivors agree on the minimum completed-attempt count and everyone
-    // rewinds to it (recover() below).
-    enum class Phase : std::uint8_t { kWarmup, kTuning, kMeasured, kDone };
-    Phase phase = Phase::kWarmup;
-    int warm_done = 0;
-    int tuned_for = 0;
-    std::vector<double> samples;  // measured iteration times, in order
-    std::vector<Phase> done_log;  // phase of every completed attempt
-    int my_failures = 0;
-    int my_recovery_iterations = 0;
-    double my_recovery_virtual_s = 0.0;
-
     auto run_iteration = [&]() -> double {
-      // Each attempt is one FaultPlan tick: a kPreemption kill fires here.
-      comm.fault_tick();
       comm.barrier();
       const double t0 = comm.now();
       // This rank's compute speed this iteration (clock/ECC/input noise).
@@ -124,17 +77,14 @@ ScalingResult simulate(const ScalingConfig& config) {
       if (config.compute_jitter > 0.0) {
         scale = std::max(0.5, 1.0 + config.compute_jitter * jitter_rng.normal());
       }
-      if (config.scenario == ScenarioMode::kStraggler && comm.rank() == config.scenario_rank) {
-        scale *= config.straggler_factor;
-      }
       // Register every gradient at its backprop-order ready time; the
       // Horovod cycles overlap negotiation and allreduce with the
       // remaining backward compute exactly as the background thread does.
       for (std::size_t i = 0; i < profile.grad_names.size(); ++i) {
-        runtime->submit({profile.grad_names[i], {}, profile.grad_bytes[i],
-                         t0 + scale * profile.grad_ready_s[i]});
+        runtime.submit({profile.grad_names[i], {}, profile.grad_bytes[i],
+                        t0 + scale * profile.grad_ready_s[i]});
       }
-      runtime->synchronize();
+      runtime.synchronize();
       // The optimizer waits for both streams: backward compute and the
       // last averaged gradient.
       comm.clock().bump_to(t0 + scale * (profile.fwd_s + profile.bwd_s));
@@ -143,143 +93,37 @@ ScalingResult simulate(const ScalingConfig& config) {
       return comm.now() - t0;
     };
 
-    auto recompute_phase = [&] {
-      if (warm_done < config.warmup_iterations) {
-        phase = Phase::kWarmup;
-      } else if (tuner && !tuner->frozen() && tuned_for < config.max_tuning_iterations) {
-        phase = Phase::kTuning;
-      } else if (static_cast<int>(samples.size()) < config.iterations) {
-        phase = Phase::kMeasured;
-      } else {
-        phase = Phase::kDone;
+    for (int i = 0; i < config.warmup_iterations; ++i) run_iteration();
+    int tuned_for = 0;
+    if (config.autotune.enabled) {
+      // Online tuning: explore until the policy freezes. The Autotuner's
+      // broadcast decisions keep frozen(), and so this loop's trip count,
+      // identical everywhere.
+      hvd::Autotuner tuner(runtime, config.autotune);
+      while (!tuner.frozen() && tuned_for < config.max_tuning_iterations) {
+        run_iteration();
+        tuner.step_end();  // collective at window boundaries
+        ++tuned_for;
       }
-    };
-
-    // Shrink, rebuild the runtime over the survivors (carrying the current
-    // knobs), and rewind to an agreed resume point. The victim itself
-    // never gets here — its RankKilled unwinds to run_world.
-    auto recover = [&] {
-      comm = comm.shrink();
-      const hvd::Knobs carried = runtime->knobs();
-      runtime.emplace(comm, carried, gpu);
-      // Agree on the resume point BEFORE any tuner collective: the tuner
-      // may not exist on every survivor yet (a fast rank can be one
-      // attempt — and one phase transition — ahead).
-      std::int64_t resume = static_cast<std::int64_t>(done_log.size());
-      const auto views = comm.gather_blobs(
-          std::as_bytes(std::span<const std::int64_t>(&resume, 1)), 0);
-      if (comm.rank() == 0) {
-        for (const std::vector<std::byte>& blob : views) {
-          std::int64_t theirs = 0;
-          if (blob.size() != sizeof theirs) {
-            throw std::runtime_error("simulate: malformed progress view");
-          }
-          std::memcpy(&theirs, blob.data(), sizeof theirs);
-          resume = std::min(resume, theirs);
-        }
-      }
-      const auto decision =
-          comm.bcast_blob(std::as_bytes(std::span<const std::int64_t>(&resume, 1)), 0);
-      std::memcpy(&resume, decision.data(), sizeof resume);
-      while (static_cast<std::int64_t>(done_log.size()) > resume) {
-        switch (done_log.back()) {
-          case Phase::kWarmup: --warm_done; break;
-          case Phase::kTuning: --tuned_for; break;
-          case Phase::kMeasured: samples.pop_back(); break;
-          default: break;
-        }
-        done_log.pop_back();
-        ++my_recovery_iterations;  // this attempt will be re-run
-      }
-      recompute_phase();
-      // A rank rolled back across the warmup->tuning boundary destroys
-      // its tuner so every survivor re-creates one at the same transition.
-      if (phase == Phase::kWarmup) tuner.reset();
-      if (tuner) {
-        tuner->rebind(*runtime);
-        tuner->on_world_change();  // collective: resyncs knobs from rank 0
-      }
-    };
-
-    while (true) {
-      const double attempt_start = comm.now();
-      try {
-        if (phase == Phase::kDone) {
-          // Completion fence: a rank must not leave while a peer can still
-          // need it for the shrink rendezvous. A kill during the final
-          // attempt makes this barrier raise, pulling the finished ranks
-          // into the recovery; nobody can pass it otherwise, because the
-          // victim (which dies at a fault tick) never enters it.
-          comm.barrier();
-          break;
-        }
-        const double took = run_iteration();
-        switch (phase) {
-          case Phase::kWarmup:
-            done_log.push_back(Phase::kWarmup);
-            if (++warm_done >= config.warmup_iterations) {
-              if (config.autotune.enabled) {
-                // Online tuning: explore until the policy freezes. The
-                // Autotuner's broadcast decisions keep frozen() — and the
-                // tuning phase's trip count — identical everywhere.
-                tuner.emplace(*runtime, config.autotune);
-                phase = Phase::kTuning;
-              } else {
-                runtime->reset_stats();
-                phase = Phase::kMeasured;
-              }
-            }
-            break;
-          case Phase::kTuning:
-            tuner->step_end();  // collective at window boundaries
-            done_log.push_back(Phase::kTuning);
-            ++tuned_for;
-            if (tuner->frozen() || tuned_for >= config.max_tuning_iterations) {
-              tuner->freeze();  // no-op when already converged
-              runtime->reset_stats();
-              phase = Phase::kMeasured;
-            }
-            break;
-          case Phase::kMeasured:
-            samples.push_back(took);
-            done_log.push_back(Phase::kMeasured);
-            if (static_cast<int>(samples.size()) >= config.iterations) phase = Phase::kDone;
-            break;
-          default:
-            break;
-        }
-      } catch (const mpi::RankFailed&) {
-        ++my_failures;
-        ++my_recovery_iterations;
-        recover();
-        my_recovery_virtual_s += comm.now() - attempt_start;
-      }
+      tuner.freeze();  // no-op when already converged
     }
+    runtime.reset_stats();
+    double total = 0.0;
+    for (int i = 0; i < config.iterations; ++i) total += run_iteration();
 
     if (comm.rank() == 0) {
-      double total = 0.0;
-      for (const double s : samples) total += s;
-      mean_iteration = samples.empty() ? 0.0 : total / static_cast<double>(samples.size());
-      stats = runtime->stats();
-      tuned_knobs = runtime->knobs();
+      mean_iteration = total / static_cast<double>(config.iterations);
+      stats = runtime.stats();
+      tuned_knobs = runtime.knobs();
       tuning_iterations = tuned_for;
-      final_gpus = comm.size();
-      failures = my_failures;
-      recovery_iterations = my_recovery_iterations;
-      recovery_virtual_s = my_recovery_virtual_s;
     }
   });
 
   ScalingResult result;
   result.gpus = gpus;
-  result.final_gpus = final_gpus;
-  result.failures = failures;
-  result.recovery_iterations = recovery_iterations;
-  result.recovery_virtual_s = recovery_virtual_s;
   result.iteration_s = mean_iteration;
   result.per_gpu_images_s = static_cast<double>(config.workload.batch_per_gpu) / mean_iteration;
-  // Aggregate throughput counts the machines still standing at the end.
-  result.images_per_s = result.per_gpu_images_s * final_gpus;
+  result.images_per_s = result.per_gpu_images_s * gpus;
   result.scaling_efficiency =
       result.per_gpu_images_s / single_gpu_throughput(config.workload, config.flop_efficiency);
   result.comm_overhead_s = mean_iteration - profile.compute_total_s();

@@ -3,6 +3,13 @@
 // reproduced figure depends on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dlscale/perf/simulator.hpp"
 
 namespace dp = dlscale::perf;
@@ -162,4 +169,94 @@ TEST(Simulate, StatsArePopulated) {
   EXPECT_GT(result.hvd_stats.bytes_reduced, 0u);
   EXPECT_GT(result.iteration_s, 0.0);
   EXPECT_GT(result.comm_overhead_s, 0.0);
+}
+
+namespace {
+
+// One pinned simulate() outcome: the headline quantities as exact
+// hex-floats and the counters the tuned knobs leave behind.
+struct SimPin {
+  const char* name;
+  double scaling_efficiency;
+  double images_per_s;
+  double iteration_s;
+  std::uint64_t fused_batches;
+  int tuning_iterations;
+  std::uint64_t fusion_threshold;
+};
+
+// A contention-free profile: every message eager (no rendezvous clock
+// coupling) and more rails than concurrent transfers with striping off,
+// so NIC booking order cannot move the virtual clock and repeat runs are
+// bitwise identical.
+dn::MpiProfile contention_free(dn::MpiProfile profile) {
+  profile.eager_threshold_host = std::size_t{1} << 40;
+  profile.eager_threshold_device = std::size_t{1} << 40;
+  profile.rails = 64;
+  profile.rail_stripe_min = SIZE_MAX;
+  return profile;
+}
+
+std::vector<std::pair<std::string, dp::ScalingConfig>> pinned_simulations() {
+  std::vector<std::pair<std::string, dp::ScalingConfig>> cases;
+  cases.emplace_back("2n-mvapich-tuned",
+                     base_config(2, contention_free(dn::MpiProfile::mvapich2_gdr_like()),
+                                 dh::Knobs::paper_tuned()));
+  cases.emplace_back("2n-spectrum-default",
+                     base_config(2, contention_free(dn::MpiProfile::spectrum_like()),
+                                 dh::Knobs::horovod_defaults()));
+  auto tuned = base_config(1, contention_free(dn::MpiProfile::mvapich2_gdr_like()),
+                           dh::Knobs::horovod_defaults());
+  tuned.autotune.enabled = true;
+  tuned.autotune.window_steps = 2;
+  tuned.max_tuning_iterations = 12;
+  cases.emplace_back("1n-mvapich-autotune", tuned);
+  return cases;
+}
+
+std::string sim_literal(const std::string& name, const dp::ScalingResult& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "{\"%s\", %a, %a, %a, %llu, %d, %llu},", name.c_str(),
+                r.scaling_efficiency, r.images_per_s, r.iteration_s,
+                static_cast<unsigned long long>(r.hvd_stats.fused_batches), r.tuning_iterations,
+                static_cast<unsigned long long>(r.tuned_knobs.fusion_threshold));
+  return buf;
+}
+
+constexpr SimPin kSimPins[] = {
+    {"2n-mvapich-tuned", 0x1.f607da48008f9p-1, 0x1.3b477e548e33ep+6, 0x1.37ccbcd4d305cp-1, 132, 0,
+     67108864},
+    {"2n-spectrum-default", 0x1.f497e15beb748p-1, 0x1.3a6067662d135p+6, 0x1.38b1eedc2772ap-1, 98, 0,
+     67108864},
+    {"1n-mvapich-autotune", 0x1.f1229e8a37ff7p-1, 0x1.383473f28e43ap+5, 0x1.3adec1c1d7004p-1, 98,
+     12, 67108864},
+};
+
+}  // namespace
+
+TEST(Simulate, ContentionFreeRunIsPinned) {
+  // Freezes what simulate() computes on the virtual clock, so a refactor
+  // of the simulator or of simmpi that changes nothing shows nothing. On
+  // a mismatch the observed row is printed in pin-literal form.
+  std::size_t checked = 0;
+  for (const auto& [name, config] : pinned_simulations()) {
+    const dp::ScalingResult result = dp::simulate(config);
+    const std::string got = sim_literal(name, result);
+    const SimPin* pin = nullptr;
+    for (const SimPin& p : kSimPins) {
+      if (name == p.name) pin = &p;
+    }
+    if (pin == nullptr) {
+      ADD_FAILURE() << "no pin for " << name << "; observed\n" << got;
+      continue;
+    }
+    ++checked;
+    EXPECT_EQ(result.scaling_efficiency, pin->scaling_efficiency) << got;
+    EXPECT_EQ(result.images_per_s, pin->images_per_s) << got;
+    EXPECT_EQ(result.iteration_s, pin->iteration_s) << got;
+    EXPECT_EQ(result.hvd_stats.fused_batches, pin->fused_batches) << got;
+    EXPECT_EQ(result.tuning_iterations, pin->tuning_iterations) << got;
+    EXPECT_EQ(result.tuned_knobs.fusion_threshold, pin->fusion_threshold) << got;
+  }
+  EXPECT_EQ(checked, std::size(kSimPins));
 }

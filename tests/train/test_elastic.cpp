@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -324,4 +325,63 @@ TEST(ElasticAutotune, ElasticRunWithAutotuneRecovers) {
   EXPECT_TRUE(recoveries[0].restored_from_checkpoint);
   ASSERT_EQ(report.epochs.size(), 3u);
   EXPECT_GT(report.epochs.back().eval_miou, 0.0);
+}
+
+TEST(ElasticAutotune, CoordinatorDeathMidTuningRecovers) {
+  // Global rank 0 owns the tuning policy and dies mid-tuning: the new
+  // rank 0 (old rank 1) restarts the search from the incumbent knobs, and
+  // the survivors restore, finish every epoch and end bitwise identical.
+  dt::TrainConfig config = tiny_config();
+  config.autotune.enabled = true;
+  config.autotune.window_steps = 2;
+  constexpr long kKillStep = 3;  // epoch 1, second step (2 steps/epoch)
+
+  // Healthy reference: the tuner is still exploring after the first two
+  // epochs (steps 0..3), so the kill at step 3 lands before it freezes.
+  dm::run_world(functional_world(4), [&](dm::Communicator& comm) {
+    dt::HorovodHook hook(comm, config);
+    dt::Trainer trainer(config, hook);
+    trainer.train_epoch();
+    trainer.train_epoch();
+    ASSERT_EQ(trainer.global_step(), kKillStep + 1);
+    EXPECT_EQ(hook.tuner()->windows_completed(), 2);
+    EXPECT_FALSE(hook.tuner()->frozen());
+  });
+
+  TempFile ckpt("dlscale_elastic_coordinator_death.bin");
+  std::vector<std::vector<dt::RecoveryEvent>> recoveries(4);
+  std::vector<std::vector<float>> params(4);
+  dt::TrainReport report;
+  auto options = functional_world(4);
+  options.faults.kills = {{/*global_rank=*/0, /*at_step=*/kKillStep}};
+  dm::run_world(options, [&](dm::Communicator& comm) {
+    dt::ElasticConfig elastic;
+    elastic.train = config;
+    elastic.checkpoint_path = ckpt.path;
+    dt::ElasticTrainer driver(comm, elastic);
+    const dt::TrainReport out = driver.run();
+    const auto g = static_cast<std::size_t>(comm.global_rank());
+    recoveries[g] = driver.recoveries();
+    for (dlscale::nn::Parameter* p : driver.trainer().model().parameters()) {
+      const auto values = p->value.data();
+      params[g].insert(params[g].end(), values.begin(), values.end());
+    }
+    if (driver.comm().rank() == 0) report = out;
+  });
+
+  EXPECT_TRUE(recoveries[0].empty()) << "the killed rank never recovers";
+  for (int g = 1; g < 4; ++g) {
+    ASSERT_EQ(recoveries[g].size(), 1u) << "survivor " << g;
+    EXPECT_EQ(recoveries[g][0].failed_global_rank, 0);
+    EXPECT_EQ(recoveries[g][0].new_size, 3);
+    EXPECT_TRUE(recoveries[g][0].restored_from_checkpoint);
+  }
+  ASSERT_EQ(report.epochs.size(), 3u);
+  EXPECT_GT(report.epochs.back().eval_miou, 0.0);
+  ASSERT_FALSE(params[1].empty());
+  for (int g = 2; g < 4; ++g) {
+    ASSERT_EQ(params[g].size(), params[1].size());
+    EXPECT_EQ(std::memcmp(params[g].data(), params[1].data(), params[1].size() * sizeof(float)), 0)
+        << "survivor " << g << " parameters differ from survivor 1";
+  }
 }
