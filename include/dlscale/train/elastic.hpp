@@ -8,10 +8,10 @@
 //                    communicator (mpi::Communicator::shrink re-densifies
 //                    ranks, old relative order preserved);
 //   2. agree       — a coordinator round on the NEW communicator: rank 0
-//                    gathers every survivor's view (global rank, world
-//                    epoch, local progress), decides whether the shared
-//                    checkpoint is usable, and broadcasts the decision so
-//                    all survivors restore — or restart — in lockstep;
+//                    gathers every survivor's world epoch, checks they
+//                    agree, decides whether the shared checkpoint is
+//                    usable, and broadcasts the decision so all
+//                    survivors restore — or restart — in lockstep;
 //   3. rebuild     — HorovodHook::rebind constructs a fresh
 //                    HorovodRuntime over the shrunken communicator
 //                    (current knobs carried over) and re-points the
@@ -116,7 +116,6 @@ class ElasticTrainer {
   TrainConfig active_config_;         ///< config_.train rescaled to comm_.size()
   std::map<int, EpochReport> epochs_; ///< by epoch; replays overwrite
   std::vector<RecoveryEvent> recoveries_;
-  bool have_checkpoint_ = false;
 };
 
 }  // namespace dlscale::train

@@ -1,11 +1,12 @@
 #include "dlscale/hvd/autotune.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "dlscale/util/logging.hpp"
+#include "dlscale/util/wire.hpp"
 
 namespace dlscale::hvd {
 
@@ -13,60 +14,41 @@ namespace {
 
 constexpr int kAxes = 4;  // fusion threshold, cycle time, hierarchical, compression
 
-// Fixed-layout wire encoding of the window decision (rank 0 -> world).
-// Manual pack/unpack keeps the protocol independent of struct layout.
-struct DecisionWire {
-  template <typename T>
-  static void put(std::vector<std::byte>& out, const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t at = out.size();
-    out.resize(at + sizeof(T));
-    std::memcpy(out.data() + at, &value, sizeof(T));
-  }
-  template <typename T>
-  static T get(std::span<const std::byte> in, std::size_t& pos) {
-    T value{};
-    if (pos + sizeof(T) > in.size()) throw std::runtime_error("autotune: truncated decision");
-    std::memcpy(&value, in.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return value;
-  }
-};
-
-std::vector<std::byte> encode_decision(bool frozen, const Knobs& knobs) {
-  std::vector<std::byte> out;
-  DecisionWire::put<std::uint8_t>(out, frozen ? 1 : 0);
-  DecisionWire::put<std::uint64_t>(out, knobs.fusion_threshold);
-  DecisionWire::put<double>(out, knobs.cycle_time_s);
-  DecisionWire::put<std::uint8_t>(out, knobs.hierarchical_allreduce ? 1 : 0);
-  DecisionWire::put<std::uint8_t>(out, knobs.response_cache ? 1 : 0);
-  DecisionWire::put<std::uint8_t>(out, knobs.algo.has_value() ? 1 : 0);
-  DecisionWire::put<std::uint8_t>(out,
-                                  static_cast<std::uint8_t>(knobs.algo.value_or(mpi::AllreduceAlgo::kRing)));
-  DecisionWire::put<std::uint64_t>(out, knobs.stall_warning_cycles);
-  DecisionWire::put<std::uint8_t>(out, knobs.timeline ? 1 : 0);
-  DecisionWire::put<std::uint8_t>(out, static_cast<std::uint8_t>(knobs.compression));
-  DecisionWire::put<float>(out, knobs.topk_ratio);
-  DecisionWire::put<std::uint8_t>(out, knobs.error_feedback ? 1 : 0);
-  return out;
+// The decision record, rank 0 -> world: {frozen, knobs}. One field list
+// drives both directions, so the encoder and decoder cannot drift apart.
+template <class Codec>  // util::wire::Writer or util::wire::Reader
+void decision_fields(Codec& codec, bool& frozen, Knobs& knobs) {
+  using util::wire::field;
+  bool has_algo = knobs.algo.has_value();
+  mpi::AllreduceAlgo algo = knobs.algo.value_or(mpi::AllreduceAlgo::kRing);
+  field<std::uint8_t>(codec, "frozen", frozen);
+  field<std::uint64_t>(codec, "fusion threshold", knobs.fusion_threshold);
+  field<double>(codec, "cycle time", knobs.cycle_time_s);
+  field<std::uint8_t>(codec, "hierarchical allreduce", knobs.hierarchical_allreduce);
+  field<std::uint8_t>(codec, "response cache", knobs.response_cache);
+  field<std::uint8_t>(codec, "algo set", has_algo);
+  field<std::uint8_t>(codec, "algo", algo);
+  field<std::uint64_t>(codec, "stall warning cycles", knobs.stall_warning_cycles);
+  field<std::uint8_t>(codec, "timeline", knobs.timeline);
+  field<std::uint8_t>(codec, "compression", knobs.compression);
+  field<float>(codec, "top-k ratio", knobs.topk_ratio);
+  field<std::uint8_t>(codec, "error feedback", knobs.error_feedback);
+  knobs.algo = has_algo ? std::optional<mpi::AllreduceAlgo>(algo) : std::nullopt;
 }
 
-std::pair<bool, Knobs> decode_decision(std::span<const std::byte> blob) {
-  std::size_t pos = 0;
-  const bool frozen = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
-  Knobs knobs;
-  knobs.fusion_threshold = DecisionWire::get<std::uint64_t>(blob, pos);
-  knobs.cycle_time_s = DecisionWire::get<double>(blob, pos);
-  knobs.hierarchical_allreduce = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
-  knobs.response_cache = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
-  const bool has_algo = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
-  const auto algo = static_cast<mpi::AllreduceAlgo>(DecisionWire::get<std::uint8_t>(blob, pos));
-  knobs.algo = has_algo ? std::optional<mpi::AllreduceAlgo>(algo) : std::nullopt;
-  knobs.stall_warning_cycles = DecisionWire::get<std::uint64_t>(blob, pos);
-  knobs.timeline = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
-  knobs.compression = static_cast<CompressionAlgo>(DecisionWire::get<std::uint8_t>(blob, pos));
-  knobs.topk_ratio = DecisionWire::get<float>(blob, pos);
-  knobs.error_feedback = DecisionWire::get<std::uint8_t>(blob, pos) != 0;
+// Rank 0's {frozen, knobs} on every rank; the other ranks' arguments are
+// ignored. Every rank then stages identical knobs regardless of clock
+// skew or who saw which ready times.
+std::pair<bool, Knobs> broadcast_decision(mpi::Communicator& comm, bool frozen, Knobs knobs) {
+  std::vector<std::byte> blob;
+  if (comm.rank() == 0) {
+    util::wire::Writer writer(blob);
+    decision_fields(writer, frozen, knobs);
+  }
+  blob = comm.bcast_blob(blob, 0);
+  util::wire::Reader reader(blob, "autotune decision");
+  decision_fields(reader, frozen, knobs);
+  reader.expect_end();
   return {frozen, knobs};
 }
 
@@ -215,12 +197,7 @@ void Autotuner::on_world_change() {
   // settings across ranks would wedge the rebuilt runtime's collectives.
   // Re-broadcast rank 0's {frozen, knobs} so every survivor converges on
   // one authoritative state before training resumes.
-  std::vector<std::byte> decision;
-  if (comm.rank() == 0) decision = encode_decision(frozen_, active_);
-  decision = comm.bcast_blob(decision, 0);
-  const auto [frozen, knobs] = decode_decision(decision);
-  frozen_ = frozen;
-  active_ = knobs;
+  std::tie(frozen_, active_) = broadcast_decision(comm, frozen_, active_);
   runtime_->set_knobs(active_);
   // Restart the measurement window from the new runtime's counters and
   // the (possibly discontinuous) post-recovery clock.
@@ -270,13 +247,10 @@ void Autotuner::finish_window(bool force_freeze) {
   const double window_s = comm.now() - window_start_time_;
   const RuntimeStats delta = runtime_->stats() - window_start_stats_;
 
-  // Rank 0 scores the window, consults the policy, and decides; the
-  // decision blob makes every rank stage identical knobs regardless of
-  // clock skew or who saw which ready times.
-  std::vector<std::byte> decision;
+  // Rank 0 scores the window, consults the policy, and decides.
+  bool freeze_now = force_freeze;
+  Knobs next = active_;
   if (comm.rank() == 0) {
-    bool freeze_now = force_freeze;
-    Knobs next = active_;
     // Window index `windows_completed_` ran under a policy proposal iff
     // it is past the warmup prefix; only those windows are scored.
     const bool scored = windows_completed_ >= options_.warmup_windows;
@@ -299,9 +273,8 @@ void Autotuner::finish_window(bool force_freeze) {
         freeze_now = true;  // policy converged
       }
     }
-    if (freeze_now) next = policy_->best();
-    decision = encode_decision(freeze_now, next);
     if (freeze_now) {
+      next = policy_->best();
       DLSCALE_DEBUG("autotune: frozen after " << windows_completed_ + 1 << " windows on fusion "
                                               << next.fusion_threshold << "B cycle "
                                               << next.cycle_time_s * 1e3 << "ms hierarchical "
@@ -310,10 +283,7 @@ void Autotuner::finish_window(bool force_freeze) {
                                               << to_string(next.compression));
     }
   }
-  decision = comm.bcast_blob(decision, 0);
-  const auto [frozen, knobs] = decode_decision(decision);
-  frozen_ = frozen;
-  active_ = knobs;
+  std::tie(frozen_, active_) = broadcast_decision(comm, freeze_now, next);
   runtime_->set_knobs(active_);
   ++windows_completed_;
   begin_window();

@@ -3,43 +3,22 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "dlscale/tensor/microkernel.hpp"
+#include "dlscale/util/wire.hpp"
 
 namespace dlscale::hvd {
 
 namespace {
 
-// Per-chunk int8 wire header. Dequantization is v̂ = offset + q * scale
-// (offset = -zero_point * scale), so a degenerate chunk (max == min,
-// including a constant chunk) encodes exactly as scale = 0, offset = the
-// constant — no division by a zero range anywhere.
-struct Int8Header {
-  float scale = 0.0f;
-  float offset = 0.0f;
-};
-
-template <typename T>
-void put(std::vector<std::byte>& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* raw = reinterpret_cast<const std::byte*>(&value);
-  out.insert(out.end(), raw, raw + sizeof(T));
-}
-
-template <typename T>
-T get(std::span<const std::byte> in, std::size_t& pos) {
-  T value{};
-  if (pos + sizeof(T) > in.size()) {
-    throw std::runtime_error("hvd compress: truncated wire blob");
-  }
-  std::memcpy(&value, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return value;
-}
+// Per-chunk int8 wire header: f32 scale, f32 offset. Dequantization is
+// v̂ = offset + q * scale (offset = -zero_point * scale), so a degenerate
+// chunk (max == min, including a constant chunk) encodes exactly as
+// scale = 0, offset = the constant — no division by a zero range anywhere.
+constexpr std::size_t kInt8HeaderBytes = 2 * sizeof(float);
 
 }  // namespace
 
@@ -86,7 +65,7 @@ WireLayout wire_layout(CompressionAlgo algo, std::span<const std::size_t> counts
   if (!layout.reducible) layout.elem_size = 1;
   for (std::size_t n : counts) {
     if (algo == CompressionAlgo::kInt8) {
-      layout.wire_bytes += sizeof(Int8Header) + n;
+      layout.wire_bytes += kInt8HeaderBytes + n;
     } else if (algo == CompressionAlgo::kTopK) {
       layout.wire_bytes += sizeof(std::uint32_t) + GradientCompressor::topk_k(n, topk_ratio) *
                                                        (sizeof(std::uint32_t) + sizeof(float));
@@ -121,6 +100,7 @@ std::span<std::byte> GradientCompressor::encode(CompressionAlgo algo,
 }
 
 void GradientCompressor::encode_int8(std::span<const Chunk> chunks, bool error_feedback) {
+  util::wire::Writer writer(wire_);
   for (const Chunk& chunk : chunks) {
     const std::size_t n = chunk.data.size();
     // Accumulate gradient + residual (EF-SGD: compress what we owe, not
@@ -145,12 +125,13 @@ void GradientCompressor::encode_int8(std::span<const Chunk> chunks, bool error_f
     }
     if (!(hi >= lo)) lo = hi = 0.0f;  // all-NaN chunk
 
-    Int8Header header;
+    float scale = 0.0f;
+    float offset = 0.0f;
     float inv_scale = 0.0f;
     std::int32_t zero_point = 0;
     const float range = hi - lo;
     if (range > 0.0f && std::isfinite(range)) {
-      header.scale = range / 255.0f;
+      scale = range / 255.0f;
       inv_scale = 255.0f / range;
       // Ideal zero point maps lo -> 0. Clamp the int64 rounding result
       // before narrowing: a tiny range far from zero can push it outside
@@ -159,18 +140,15 @@ void GradientCompressor::encode_int8(std::span<const Chunk> chunks, bool error_f
       zero_point = static_cast<std::int32_t>(
           std::clamp<double>(zp, std::numeric_limits<std::int32_t>::min(),
                              std::numeric_limits<std::int32_t>::max()));
-      header.offset = -static_cast<float>(zero_point) * header.scale;
+      offset = -static_cast<float>(zero_point) * scale;
     } else {
       // Degenerate chunk: every element equals lo. scale = 0 makes the
       // payload irrelevant and the offset reconstructs the value exactly.
-      header.scale = 0.0f;
-      header.offset = lo;
+      offset = lo;
     }
-    put(wire_, header);
-
-    const std::size_t payload_at = wire_.size();
-    wire_.resize(payload_at + n);
-    auto* q = reinterpret_cast<std::uint8_t*>(wire_.data() + payload_at);
+    writer.put(scale);
+    writer.put(offset);
+    auto* q = reinterpret_cast<std::uint8_t*>(writer.reserve(n).data());
     tensor::micro::quantize_u8(src, q, static_cast<std::int64_t>(n), inv_scale, zero_point);
 
     if (error_feedback) {
@@ -178,7 +156,7 @@ void GradientCompressor::encode_int8(std::span<const Chunk> chunks, bool error_f
       // contribution carries, re-injected on the next step.
       float* res = residual->data();
       for (std::size_t i = 0; i < n; ++i) {
-        res[i] = src[i] - (header.offset + static_cast<float>(q[i]) * header.scale);
+        res[i] = src[i] - (offset + static_cast<float>(q[i]) * scale);
       }
     }
   }
@@ -186,6 +164,7 @@ void GradientCompressor::encode_int8(std::span<const Chunk> chunks, bool error_f
 
 void GradientCompressor::encode_topk(std::span<const Chunk> chunks, float topk_ratio,
                                      bool error_feedback) {
+  util::wire::Writer writer(wire_);
   for (const Chunk& chunk : chunks) {
     const std::size_t n = chunk.data.size();
     const float* src = chunk.data.data();
@@ -226,11 +205,11 @@ void GradientCompressor::encode_topk(std::span<const Chunk> chunks, float topk_r
     // of nth_element's internal ordering, sequential decode access.
     std::sort(index_scratch_.begin(), index_scratch_.begin() + static_cast<std::ptrdiff_t>(k));
 
-    put<std::uint32_t>(wire_, static_cast<std::uint32_t>(k));
+    writer.put(static_cast<std::uint32_t>(k));
     for (std::size_t j = 0; j < k; ++j) {
       const std::uint32_t index = index_scratch_[j];
-      put<std::uint32_t>(wire_, index);
-      put<float>(wire_, src[index]);  // exact fp32: selected values are lossless
+      writer.put(index);
+      writer.put(src[index]);  // exact fp32: selected values are lossless
     }
 
     if (error_feedback) {
@@ -259,25 +238,22 @@ void GradientCompressor::decode_average(CompressionAlgo algo, std::span<const Ch
   // all replicas.
   for (int rank = 0; rank < world; ++rank) {
     const auto blob = gathered.subspan(static_cast<std::size_t>(rank) * blob_bytes, blob_bytes);
-    std::size_t pos = 0;
+    util::wire::Reader reader(blob, "hvd compress blob");
     for (const Chunk& chunk : chunks) {
       float* out = chunk.data.data();
       const std::size_t n = chunk.data.size();
       if (algo == CompressionAlgo::kInt8) {
-        const auto header = get<Int8Header>(blob, pos);
-        if (pos + n > blob.size()) {
-          throw std::runtime_error("hvd compress: truncated int8 payload");
-        }
-        const auto* q = reinterpret_cast<const std::uint8_t*>(blob.data() + pos);
-        pos += n;
+        const auto scale = reader.get<float>("int8 scale");
+        const auto offset = reader.get<float>("int8 offset");
+        const auto* q = reinterpret_cast<const std::uint8_t*>(reader.take(n, "int8 codes").data());
         for (std::size_t i = 0; i < n; ++i) {
-          out[i] += header.offset + static_cast<float>(q[i]) * header.scale;
+          out[i] += offset + static_cast<float>(q[i]) * scale;
         }
       } else if (algo == CompressionAlgo::kTopK) {
-        const auto k = get<std::uint32_t>(blob, pos);
+        const auto k = reader.get<std::uint32_t>("top-k count");
         for (std::uint32_t j = 0; j < k; ++j) {
-          const auto index = get<std::uint32_t>(blob, pos);
-          const auto value = get<float>(blob, pos);
+          const auto index = reader.get<std::uint32_t>("top-k index");
+          const auto value = reader.get<float>("top-k value");
           if (index >= n) throw std::runtime_error("hvd compress: top-k index out of range");
           out[index] += value;
         }
@@ -285,9 +261,7 @@ void GradientCompressor::decode_average(CompressionAlgo algo, std::span<const Ch
         throw std::logic_error("hvd compress: decode is for int8/topk only");
       }
     }
-    if (pos != blob.size()) {
-      throw std::runtime_error("hvd compress: trailing bytes in wire blob");
-    }
+    reader.expect_end();
   }
   const float inv_world = 1.0f / static_cast<float>(world);
   for (const Chunk& chunk : chunks) {

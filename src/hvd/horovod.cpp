@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include <ostream>
@@ -11,6 +11,7 @@
 #include "dlscale/util/env.hpp"
 #include "dlscale/util/fp16.hpp"
 #include "dlscale/util/logging.hpp"
+#include "dlscale/util/wire.hpp"
 
 namespace dlscale::hvd {
 
@@ -19,42 +20,8 @@ namespace {
 constexpr std::size_t kCacheSlots = 4096;
 constexpr std::size_t kCacheWords = kCacheSlots / 64;
 
-
-/// Byte-stream writer/reader for the negotiation payloads.
-struct Writer {
-  std::vector<std::byte> out;
-  template <typename T>
-  void put(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto* raw = reinterpret_cast<const std::byte*>(&value);
-    out.insert(out.end(), raw, raw + sizeof(T));
-  }
-  void put_name(const std::string& name) {
-    put<std::uint16_t>(static_cast<std::uint16_t>(name.size()));
-    const auto* raw = reinterpret_cast<const std::byte*>(name.data());
-    out.insert(out.end(), raw, raw + name.size());
-  }
-};
-
-struct Reader {
-  std::span<const std::byte> in;
-  std::size_t pos = 0;
-  template <typename T>
-  T get() {
-    T value{};
-    if (pos + sizeof(T) > in.size()) throw std::runtime_error("hvd: truncated payload");
-    std::memcpy(&value, in.data() + pos, sizeof(T));
-    pos += sizeof(T);
-    return value;
-  }
-  std::string get_name() {
-    const auto len = get<std::uint16_t>();
-    if (pos + len > in.size()) throw std::runtime_error("hvd: truncated name");
-    std::string name(reinterpret_cast<const char*>(in.data() + pos), len);
-    pos += len;
-    return name;
-  }
-};
+// Tensor names travel with a u16 length prefix.
+constexpr std::size_t kMaxNameBytes = std::numeric_limits<std::uint16_t>::max();
 
 }  // namespace
 
@@ -179,6 +146,12 @@ HorovodRuntime::HorovodRuntime(mpi::Communicator& comm, Knobs knobs, gpu::Comput
 
 void HorovodRuntime::submit(TensorRequest request) {
   if (request.name.empty()) throw std::invalid_argument("hvd::submit: tensor needs a name");
+  if (request.name.size() > kMaxNameBytes) {
+    throw std::invalid_argument("hvd::submit: tensor name is " +
+                                std::to_string(request.name.size()) + " bytes, over the " +
+                                std::to_string(kMaxNameBytes) +
+                                "-byte limit of its u16 length prefix");
+  }
   if (request.bytes == 0) request.bytes = request.data.size_bytes();
   if (request.bytes == 0) throw std::invalid_argument("hvd::submit: zero-size tensor");
   if (!request.data.empty() && request.bytes != request.data.size_bytes()) {
@@ -249,31 +222,33 @@ bool HorovodRuntime::cycle() {
       bits[it->second / 64] |= std::uint64_t{1} << (it->second % 64);
     }
   }
-  Writer report;
-  report.put<std::uint32_t>(static_cast<std::uint32_t>(fresh.size()));
-  report.put<std::uint32_t>(static_cast<std::uint32_t>(pending_.size()));
-  for (std::size_t w = 0; w < kCacheWords; ++w) report.put<std::uint64_t>(bits[w]);
-  for (const std::string& name : fresh) report.put_name(name);
-  stats_.control_bytes += report.out.size();
+  std::vector<std::byte> report;
+  report.reserve(2 * sizeof(std::uint32_t) + sizeof bits);
+  util::wire::Writer out(report);
+  out.put(static_cast<std::uint32_t>(fresh.size()));
+  out.put(static_cast<std::uint32_t>(pending_.size()));
+  for (std::uint64_t word : bits) out.put(word);
+  for (const std::string& name : fresh) out.put_string<std::uint16_t>("tensor name", name);
+  stats_.control_bytes += report.size();
 
   // ---- coordinator (rank 0) combines reports ----
   const double negotiation_start = comm_.now();
-  const auto reports = comm_.gather_blobs(report.out, 0);
-  Writer response;
+  const auto reports = comm_.gather_blobs(report, 0);
+  std::vector<std::byte> response;
   if (comm_.rank() == 0) {
     std::uint64_t combined_bits[kCacheWords];
     std::fill(std::begin(combined_bits), std::end(combined_bits), ~std::uint64_t{0});
     bool any_fresh = false;
     std::uint32_t max_pending = 0;
     for (const auto& blob : reports) {
-      Reader reader{blob};
-      const auto fresh_count = reader.get<std::uint32_t>();
-      const auto pending_count = reader.get<std::uint32_t>();
+      util::wire::Reader reader(blob, "hvd report");
+      const auto fresh_count = reader.get<std::uint32_t>("fresh count");
+      const auto pending_count = reader.get<std::uint32_t>("pending count");
       max_pending = std::max(max_pending, pending_count);
-      for (std::size_t w = 0; w < kCacheWords; ++w) combined_bits[w] &= reader.get<std::uint64_t>();
+      for (std::uint64_t& word : combined_bits) word &= reader.get<std::uint64_t>("cache bits");
       any_fresh = any_fresh || fresh_count > 0;
       for (std::uint32_t i = 0; i < fresh_count; ++i) {
-        const std::string name = reader.get_name();
+        const std::string name = reader.get_string<std::uint16_t>("tensor name");
         ReadyState& state = ready_counts_[name];
         if (state.count == 0) state.first_seen_cycle = stats_.cycles;
         if (++state.count == comm_.size()) {
@@ -307,14 +282,15 @@ bool HorovodRuntime::cycle() {
     const bool keep_going = max_pending > total_responses;
     if (!any_fresh && total_responses > 0) ++stats_.cache_hit_cycles;
 
-    response.put<std::uint8_t>(keep_going ? 1 : 0);
-    response.put<std::uint32_t>(static_cast<std::uint32_t>(cached_ready.size()));
-    for (std::uint32_t slot : cached_ready) response.put<std::uint32_t>(slot);
-    response.put<std::uint32_t>(static_cast<std::uint32_t>(response_order_.size()));
-    for (const std::string& name : response_order_) response.put_name(name);
+    util::wire::Writer reply(response);
+    reply.put(static_cast<std::uint8_t>(keep_going ? 1 : 0));
+    reply.put(static_cast<std::uint32_t>(cached_ready.size()));
+    for (std::uint32_t slot : cached_ready) reply.put(slot);
+    reply.put(static_cast<std::uint32_t>(response_order_.size()));
+    for (const std::string& name : response_order_) reply.put_string<std::uint16_t>("name", name);
     response_order_.clear();
   }
-  const auto response_blob = comm_.bcast_blob(response.out, 0);
+  const auto response_blob = comm_.bcast_blob(response, 0);
   stats_.control_bytes += response_blob.size();
   if (timeline_enabled_) {
     timeline_.push_back({negotiation_start, comm_.now(),
@@ -322,16 +298,16 @@ bool HorovodRuntime::cycle() {
   }
 
   // ---- every rank decodes and executes the same response list ----
-  Reader reader{response_blob};
-  const bool keep_going = reader.get<std::uint8_t>() != 0;
+  util::wire::Reader reader(response_blob, "hvd response");
+  const bool keep_going = reader.get<std::uint8_t>("keep going") != 0;
   std::vector<std::string> ordered;
-  const auto cached_count = reader.get<std::uint32_t>();
+  const auto cached_count = reader.get<std::uint32_t>("cached count");
   for (std::uint32_t i = 0; i < cached_count; ++i) {
-    ordered.push_back(cache_names_.at(reader.get<std::uint32_t>()));
+    ordered.push_back(cache_names_.at(reader.get<std::uint32_t>("cache slot")));
   }
-  const auto fresh_count = reader.get<std::uint32_t>();
+  const auto fresh_count = reader.get<std::uint32_t>("fresh count");
   for (std::uint32_t i = 0; i < fresh_count; ++i) {
-    const std::string name = reader.get_name();
+    const std::string name = reader.get_string<std::uint16_t>("tensor name");
     note_cached(name);
     ordered.push_back(name);
   }

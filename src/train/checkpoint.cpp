@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "dlscale/util/bf16.hpp"
+#include "dlscale/util/wire.hpp"
 
 namespace dlscale::train {
 
@@ -21,19 +23,6 @@ constexpr std::uint32_t kVersionBf16 = 2;
 // future version could carry either dtype, so the code space names both.
 constexpr std::uint32_t kDtypeFp32 = 0;
 constexpr std::uint32_t kDtypeBf16 = 1;
-
-template <typename T>
-void write_pod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::ifstream& in, const std::string& what) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!in) throw std::runtime_error("checkpoint: truncated file while reading " + what);
-  return value;
-}
 
 // Anything past this is certainly a corrupt length field, not a real name.
 constexpr std::uint32_t kMaxNameLen = 4096;
@@ -63,7 +52,7 @@ std::vector<nn::NamedTensor> model_state(const std::vector<nn::Parameter*>& para
   return tensors;
 }
 
-/// Consume everything after the magic word up to (and including) the tensor
+/// Consume the magic word and everything up to (and including) the tensor
 /// count, auto-detecting v1-fp32 vs v2-bf16. Unknown versions and dtypes
 /// throw, naming what this build supports vs what the file claims.
 struct Header {
@@ -71,18 +60,21 @@ struct Header {
   std::uint32_t count;
 };
 
-Header read_header(std::ifstream& in, const std::string& path) {
-  const auto word = read_pod<std::uint32_t>(in, "tensor count");
+Header read_header(util::wire::Reader& in, const std::string& path) {
+  if (in.get<std::uint32_t>("magic") != kMagic) {
+    throw std::runtime_error("checkpoint: bad magic in '" + path + "'");
+  }
+  const auto word = in.get<std::uint32_t>("tensor count");
   if (word != kVersionSentinel) {
     return {CheckpointFormat::kFp32, word};  // legacy v1: the word IS the count
   }
-  const auto version = read_pod<std::uint32_t>(in, "format version");
+  const auto version = in.get<std::uint32_t>("format version");
   if (version != kVersionBf16) {
     throw std::runtime_error("checkpoint: unsupported format version " + std::to_string(version) +
                              " in '" + path + "' (this build reads v1 fp32 and v" +
                              std::to_string(kVersionBf16) + " bf16 files)");
   }
-  const auto dtype = read_pod<std::uint32_t>(in, "storage dtype");
+  const auto dtype = in.get<std::uint32_t>("storage dtype");
   if (dtype != kDtypeBf16 && dtype != kDtypeFp32) {
     throw std::runtime_error("checkpoint: unknown storage dtype " + std::to_string(dtype) +
                              " in '" + path + "' (expected " + std::to_string(kDtypeFp32) +
@@ -90,7 +82,7 @@ Header read_header(std::ifstream& in, const std::string& path) {
   }
   const CheckpointFormat format =
       dtype == kDtypeBf16 ? CheckpointFormat::kBf16 : CheckpointFormat::kFp32;
-  return {format, read_pod<std::uint32_t>(in, "tensor count")};
+  return {format, in.get<std::uint32_t>("tensor count")};
 }
 
 }  // namespace
@@ -100,51 +92,57 @@ const char* checkpoint_format_name(CheckpointFormat format) noexcept {
 }
 
 CheckpointFormat peek_checkpoint_format(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("checkpoint: cannot open '" + path + "'");
-  if (read_pod<std::uint32_t>(in, "magic") != kMagic) {
-    throw std::runtime_error("checkpoint: bad magic in '" + path + "'");
-  }
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("checkpoint: cannot open '" + path + "'");
+  const std::string record = "checkpoint '" + path + "'";
+  util::wire::Reader in(file, record);
   return read_header(in, path).format;
 }
 
 void save_tensors(const std::vector<nn::NamedTensor>& tensors, const std::string& path,
                   CheckpointFormat format) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("checkpoint: cannot open '" + path + "' for writing");
-  write_pod(out, kMagic);
+  std::ofstream file(path, std::ios::binary | std::ios::trunc);
+  if (!file) throw std::runtime_error("checkpoint: cannot open '" + path + "' for writing");
+  // The header, then one tensor record at a time: the buffer never holds
+  // more than the largest tensor.
+  std::vector<std::byte> bytes;
+  const auto flush = [&] {
+    file.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+    bytes.clear();
+  };
+  util::wire::Writer out(bytes);
+  out.put(kMagic);
   if (format == CheckpointFormat::kBf16) {
-    write_pod(out, kVersionSentinel);
-    write_pod(out, kVersionBf16);
-    write_pod(out, kDtypeBf16);
+    out.put(kVersionSentinel);
+    out.put(kVersionBf16);
+    out.put(kDtypeBf16);
   }
-  write_pod(out, static_cast<std::uint32_t>(tensors.size()));
+  out.put(static_cast<std::uint32_t>(tensors.size()));
+  flush();
   std::vector<std::uint16_t> narrow;
   for (const nn::NamedTensor& t : tensors) {
-    write_pod(out, static_cast<std::uint32_t>(t.name.size()));
-    out.write(t.name.data(), static_cast<std::streamsize>(t.name.size()));
-    write_pod(out, static_cast<std::uint32_t>(t.tensor->shape().size()));
-    for (int d : t.tensor->shape()) write_pod(out, static_cast<std::int32_t>(d));
+    out.put_string<std::uint32_t>("checkpoint tensor name", t.name, kMaxNameLen);
+    out.put(static_cast<std::uint32_t>(t.tensor->shape().size()));
+    for (int d : t.tensor->shape()) out.put(static_cast<std::int32_t>(d));
     const std::size_t numel = static_cast<std::size_t>(t.tensor->numel());
     if (format == CheckpointFormat::kBf16) {
       narrow.resize(numel);
       util::floats_to_bf16s(t.tensor->ptr(), narrow.data(), numel);
-      out.write(reinterpret_cast<const char*>(narrow.data()),
-                static_cast<std::streamsize>(numel * sizeof(std::uint16_t)));
+      out.put_bytes(std::as_bytes(std::span<const std::uint16_t>(narrow)));
     } else {
-      out.write(reinterpret_cast<const char*>(t.tensor->ptr()),
-                static_cast<std::streamsize>(numel * sizeof(float)));
+      out.put_bytes(std::as_bytes(std::span<const float>(t.tensor->ptr(), numel)));
     }
+    flush();
   }
-  if (!out) throw std::runtime_error("checkpoint: write failed for '" + path + "'");
+  if (!file) throw std::runtime_error("checkpoint: write failed for '" + path + "'");
 }
 
 void load_tensors(const std::vector<nn::NamedTensor>& tensors, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("checkpoint: cannot open '" + path + "'");
-  if (read_pod<std::uint32_t>(in, "magic") != kMagic) {
-    throw std::runtime_error("checkpoint: bad magic in '" + path + "'");
-  }
+  std::ifstream file(path, std::ios::binary);
+  if (!file) throw std::runtime_error("checkpoint: cannot open '" + path + "'");
+  const std::string record = "checkpoint '" + path + "'";
+  util::wire::Reader in(file, record);
   const Header header = read_header(in, path);
   const auto count = header.count;
   if (count != tensors.size()) {
@@ -155,52 +153,44 @@ void load_tensors(const std::vector<nn::NamedTensor>& tensors, const std::string
   // Every error below names the offending tensor so a bad checkpoint is
   // diagnosable without a hex dump — the serving hot-reload path surfaces
   // these messages verbatim while keeping the old replicas live.
+  std::vector<std::uint16_t> narrow;
   for (const nn::NamedTensor& t : tensors) {
-    const auto name_len = read_pod<std::uint32_t>(in, "name length of '" + t.name + "'");
+    const auto name_len = in.get<std::uint32_t>("name length of '" + t.name + "'");
     if (name_len == 0 || name_len > kMaxNameLen) {
       throw std::runtime_error("checkpoint: corrupt name length (" + std::to_string(name_len) +
                                ") where parameter '" + t.name + "' was expected");
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
-    if (!in) {
-      throw std::runtime_error("checkpoint: truncated file while reading name of '" + t.name +
-                               "'");
-    }
+    const auto name_bytes = in.take(name_len, "name of '" + t.name + "'");
+    const std::string name(reinterpret_cast<const char*>(name_bytes.data()), name_len);
     if (name != t.name) {
       throw std::runtime_error("checkpoint: expected parameter '" + t.name + "', found '" +
                                name + "'");
     }
-    const auto ndim = read_pod<std::uint32_t>(in, "rank of '" + name + "'");
+    const auto ndim = in.get<std::uint32_t>("rank of '" + name + "'");
     if (ndim > kMaxNdim) {
       throw std::runtime_error("checkpoint: corrupt rank (" + std::to_string(ndim) + ") for '" +
                                name + "'");
     }
     std::vector<int> shape(ndim);
-    for (auto& d : shape) d = read_pod<std::int32_t>(in, "shape of '" + name + "'");
+    for (auto& d : shape) d = in.get<std::int32_t>("shape of '" + name + "'");
     if (shape != t.tensor->shape()) {
       throw std::runtime_error("checkpoint: shape mismatch for '" + name + "': file has " +
                                shape_str(shape) + ", model has " + shape_str(t.tensor->shape()));
     }
     const std::size_t numel = static_cast<std::size_t>(t.tensor->numel());
     if (header.format == CheckpointFormat::kBf16) {
-      std::vector<std::uint16_t> narrow(numel);
-      in.read(reinterpret_cast<char*>(narrow.data()),
-              static_cast<std::streamsize>(numel * sizeof(std::uint16_t)));
-      if (!in) throw std::runtime_error("checkpoint: truncated data for '" + name + "'");
+      const auto data = in.take(numel * sizeof(std::uint16_t), "data of '" + name + "'");
+      narrow.resize(numel);
+      std::memcpy(narrow.data(), data.data(), data.size());
       util::bf16s_to_floats(narrow.data(), t.tensor->ptr(), numel);
     } else {
-      in.read(reinterpret_cast<char*>(t.tensor->ptr()),
-              static_cast<std::streamsize>(numel * sizeof(float)));
-      if (!in) throw std::runtime_error("checkpoint: truncated data for '" + name + "'");
+      const auto data = in.take(numel * sizeof(float), "data of '" + name + "'");
+      std::memcpy(t.tensor->ptr(), data.data(), data.size());
     }
   }
   // A well-formed file ends exactly after the last tensor; leftover bytes
   // mean the file and the model disagree about what was saved.
-  in.peek();
-  if (!in.eof()) {
-    throw std::runtime_error("checkpoint: trailing bytes after last tensor in '" + path + "'");
-  }
+  in.expect_end();
 }
 
 void save_checkpoint(const std::vector<nn::Parameter*>& params, const std::string& path) {

@@ -1,48 +1,36 @@
 #include "dlscale/train/elastic.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
 #include "dlscale/util/logging.hpp"
+#include "dlscale/util/wire.hpp"
 
 namespace dlscale::train {
 
 namespace {
 
-// One survivor's view, gathered to the coordinator during recovery.
-struct SurvivorView {
-  std::uint64_t world_epoch = 0;
-  long global_step = 0;
-  long next_epoch = 0;
-  long have_checkpoint = 0;
-};
-static_assert(std::is_trivially_copyable_v<SurvivorView>);
-
 // The coordinator round of the recovery protocol, run on the freshly
-// shrunken communicator: rank 0 gathers every survivor's view, checks the
-// survivor set is coherent (same membership epoch everywhere), decides
-// whether the shared checkpoint is restorable, and broadcasts the verdict
-// so all survivors take the same branch. Centralising the decision
+// shrunken communicator: rank 0 gathers every survivor's world epoch,
+// checks the survivor set is coherent (same membership epoch everywhere),
+// decides whether the shared checkpoint is restorable, and broadcasts the
+// verdict so all survivors take the same branch. Centralising the decision
 // matters: a failure during the post-save barrier can leave survivors
 // disagreeing about whether the last save completed, but the file on disk
 // — checked once, by one rank — is authoritative.
-bool agree_on_restore(mpi::Communicator& comm, const std::string& checkpoint_path,
-                      const SurvivorView& mine) {
-  const auto views =
-      comm.gather_blobs(std::as_bytes(std::span<const SurvivorView>(&mine, 1)), 0);
+bool agree_on_restore(mpi::Communicator& comm, const std::string& checkpoint_path) {
+  std::vector<std::byte> mine;
+  util::wire::Writer(mine).put(comm.world_epoch());
+  const auto epochs = comm.gather_blobs(mine, 0);
   std::uint8_t restore = 0;
   if (comm.rank() == 0) {
-    for (const std::vector<std::byte>& blob : views) {
-      SurvivorView view;
-      if (blob.size() != sizeof view) {
-        throw std::runtime_error("elastic: malformed survivor view");
-      }
-      std::memcpy(&view, blob.data(), sizeof view);
-      if (view.world_epoch != mine.world_epoch) {
+    for (const std::vector<std::byte>& blob : epochs) {
+      util::wire::Reader reader(blob, "elastic survivor epoch");
+      const auto epoch = reader.get<std::uint64_t>("world epoch");
+      reader.expect_end();
+      if (epoch != comm.world_epoch()) {
         throw std::runtime_error("elastic: survivors disagree on world epoch");
       }
     }
@@ -82,11 +70,9 @@ void ElasticTrainer::maybe_checkpoint() {
   const int completed = trainer_->next_epoch();
   if (completed % std::max(1, config_.checkpoint_every_epochs) != 0) return;
   if (comm_.rank() == 0) trainer_->save_state(config_.checkpoint_path);
-  // Nobody records the checkpoint as usable until every rank knows the
-  // write finished; a failure inside this barrier is resolved by the
-  // coordinator round, which trusts the file, not this flag.
+  // Every rank waits for the write to finish; a failure inside this
+  // barrier is resolved by the coordinator round, which trusts the file.
   comm_.barrier();
-  have_checkpoint_ = true;
 }
 
 void ElasticTrainer::recover(const mpi::RankFailed& failure) {
@@ -102,12 +88,7 @@ void ElasticTrainer::recover(const mpi::RankFailed& failure) {
   event.world_epoch = comm_.world_epoch();
 
   // 2. agree: coordinator round on the new communicator.
-  SurvivorView mine;
-  mine.world_epoch = comm_.world_epoch();
-  mine.global_step = trainer_->global_step();
-  mine.next_epoch = trainer_->next_epoch();
-  mine.have_checkpoint = have_checkpoint_ ? 1 : 0;
-  const bool restore = agree_on_restore(comm_, config_.checkpoint_path, mine);
+  const bool restore = agree_on_restore(comm_, config_.checkpoint_path);
 
   // 3. rebuild: fresh runtime (and re-pointed tuner) over the shrunken
   // communicator.

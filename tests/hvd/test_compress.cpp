@@ -17,6 +17,7 @@
 
 #include "dlscale/hvd/horovod.hpp"
 #include "dlscale/util/rng.hpp"
+#include "dlscale/util/wire.hpp"
 #include "../support/simd_param.hpp"
 
 namespace dh = dlscale::hvd;
@@ -472,4 +473,32 @@ TEST(CompressRuntime, PackUnpackWallTimeIsRecorded) {
     EXPECT_GT(runtime.stats().compress_pack_s, 0.0);
     EXPECT_GT(runtime.stats().compress_unpack_s, 0.0);
   });
+}
+
+TEST(CompressCodec, EveryCutOfABlobIsRejectedByName) {
+  const std::string name_a = "cut/a";
+  const std::string name_b = "cut/b";
+  for (const dh::CompressionAlgo algo : {dh::CompressionAlgo::kInt8,
+                                         dh::CompressionAlgo::kTopK}) {
+    SCOPED_TRACE(dh::to_string(algo));
+    dh::GradientCompressor compressor;
+    auto a = rank_values(0, 40, 7);
+    auto b = rank_values(0, 9, 8);
+    const dh::GradientCompressor::Chunk chunks[] = {{&name_a, a}, {&name_b, b}};
+    const auto span = compressor.encode(algo, chunks, /*topk_ratio=*/0.25f,
+                                        /*error_feedback=*/false);
+    const std::vector<std::byte> blob(span.begin(), span.end());
+    compressor.decode_average(algo, chunks, blob, /*world=*/1);
+    for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+      try {
+        compressor.decode_average(algo, chunks, std::span(blob).first(cut), /*world=*/1);
+        FAIL() << "cut at " << cut << " decoded";
+      } catch (const dlscale::util::wire::DecodeError& error) {
+        EXPECT_LE(error.offset, cut) << "cut " << cut;
+        const bool named = error.field.starts_with(
+            algo == dh::CompressionAlgo::kInt8 ? "int8 " : "top-k ");
+        EXPECT_TRUE(named) << "cut " << cut << ": " << error.what();
+      }
+    }
+  }
 }

@@ -456,3 +456,30 @@ TEST(Horovod, SubmitRejectsBytesThatDisagreeWithThePayload) {
                  std::invalid_argument);
   });
 }
+
+TEST(Horovod, OverlongNameRejectedOnEveryRank) {
+  // Names travel with a u16 length prefix. A longer name is refused by
+  // submit itself, on every rank, before any negotiation message is sent.
+  std::vector<std::string> errors(2);
+  std::vector<std::uint64_t> messages(2, ~std::uint64_t{0});
+  dm::WorldOptions options;
+  options.topology = dn::Topology::single_node(2);
+  options.profile = dn::MpiProfile::ideal();
+  options.timing = false;
+  dm::run_world(options, [&](dm::Communicator& comm) {
+    dh::HorovodRuntime runtime(comm, dh::Knobs{});
+    std::vector<float> g(4, 1.0f);
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    try {
+      runtime.submit({std::string(70'000, 'n'), std::span<float>(g)});
+    } catch (const std::invalid_argument& error) {
+      errors[rank] = error.what();
+    }
+    messages[rank] = comm.stats().messages;
+  });
+  for (std::size_t rank = 0; rank < 2; ++rank) {
+    EXPECT_NE(errors[rank].find("70000"), std::string::npos) << rank << ": " << errors[rank];
+    EXPECT_NE(errors[rank].find("65535"), std::string::npos) << rank << ": " << errors[rank];
+    EXPECT_EQ(messages[rank], 0u) << "rank " << rank;
+  }
+}

@@ -6,9 +6,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "dlscale/models/deeplab.hpp"
 #include "dlscale/train/trainer.hpp"
+#include "dlscale/util/wire.hpp"
 #include "../support/temp_file.hpp"
 
 namespace dt = dlscale::train;
@@ -264,4 +268,38 @@ TEST(Checkpoint, CorruptMagicThrows) {
   dlscale::util::Rng rng(1);
   dmo::MiniDeepLabV3Plus model({.input_size = 16, .width = 4}, rng);
   EXPECT_THROW(dt::load_checkpoint(model.parameters(), file.path), std::runtime_error);
+}
+
+TEST(Checkpoint, EveryCutNamesTheFieldAndItsOffset) {
+  namespace dten = dlscale::tensor;
+  dten::Tensor w = dten::Tensor::full({2, 3}, 0.5f);
+  dten::Tensor b = dten::Tensor::full({3}, -1.0f);
+  dten::Tensor mean = dten::Tensor::full({3}, 0.25f);
+  const std::vector<dlscale::nn::NamedTensor> tensors = {
+      {"stem.w", &w}, {"stem.b", &b}, {"bn.mean", &mean}};
+  for (const dt::CheckpointFormat format : {dt::CheckpointFormat::kFp32,
+                                            dt::CheckpointFormat::kBf16}) {
+    SCOPED_TRACE(dt::checkpoint_format_name(format));
+    TempFile full("dlscale_ckpt_sweep_full.bin");
+    dt::save_tensors(tensors, full.path, format);
+    std::ifstream in(full.path, std::ios::binary);
+    const std::vector<char> bytes(std::istreambuf_iterator<char>(in), {});
+    ASSERT_GT(bytes.size(), 20u);
+    TempFile cut_file("dlscale_ckpt_sweep_cut.bin");
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::ofstream(cut_file.path, std::ios::binary | std::ios::trunc)
+          .write(bytes.data(), static_cast<std::streamsize>(cut));
+      try {
+        dt::load_tensors(tensors, cut_file.path);
+        FAIL() << "cut at " << cut << " loaded";
+      } catch (const dlscale::util::wire::DecodeError& error) {
+        EXPECT_FALSE(error.field.empty()) << "cut " << cut;
+        EXPECT_LE(error.offset, cut) << "cut " << cut;
+        const std::string message = error.what();
+        EXPECT_NE(message.find(error.field), std::string::npos) << message;
+        EXPECT_NE(message.find("at byte " + std::to_string(error.offset)), std::string::npos)
+            << message;
+      }
+    }
+  }
 }
