@@ -160,7 +160,7 @@ RunResult run_http_load(const std::string& checkpoint, int workers, int max_batc
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   RunResult result;
-  result.stats = registry.stats("bench");
+  result.stats = registry.at("bench").stats();
   const auto served =
       static_cast<double>(result.stats.completed) - kRequestsPerClient;  // minus warmup
   result.requests_per_s = served / elapsed_s;
@@ -229,7 +229,7 @@ int main() {
                     util::Table::num(r.stats.total_p95_us / 1e3, 2),
                     util::Table::num(r.stats.total_p99_us / 1e3, 2),
                     util::Table::num(r.requests_per_s / fp32_rps, 2) + "x"});
-    std::fprintf(stderr, "... precision=%s done (%.1f req/s)\n", r.stats.precision,
+    std::fprintf(stderr, "... precision=%s done (%.1f req/s)\n", r.stats.precision.c_str(),
                  r.requests_per_s);
   }
   qtable.print();
@@ -264,7 +264,7 @@ int main() {
                     util::Table::num(over_http.stats.total_p99_us / 1e3, 2),
                     util::Table::num(over_http.requests_per_s / inproc.requests_per_s, 2) + "x"});
     std::fprintf(stderr, "... http loopback precision=%s done (%.1f req/s vs %.1f in-proc)\n",
-                 over_http.stats.precision, over_http.requests_per_s, inproc.requests_per_s);
+                 over_http.stats.precision.c_str(), over_http.requests_per_s, inproc.requests_per_s);
   }
   htable.print();
   std::printf(

@@ -74,7 +74,7 @@ int main() {
   fp32.workers = 2;
   fp32.max_batch = 8;
   fp32.precision = "fp32";
-  fp32.model = http::to_model_arch(config.model);
+  fp32.model = config.model;
   http::ModelSpec int8 = fp32;
   int8.name = "seg-int8";
   int8.workers = 1;

@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
   spec.precision = nn::Precision::kInt8;
   server.reload(ckpt_v2, spec);
   std::printf("Model version now %d, serving precision '%s'.\n", server.model_version(),
-              server.stats().precision);
+              server.stats().precision.c_str());
   const Wave int8_wave = run_wave();
 
   const serve::ServerStats final_stats = server.stats();

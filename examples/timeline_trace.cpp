@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
   options.timing = true;
 
   mpi::run_world(options, [&](mpi::Communicator& comm) {
-    hvd::HorovodRuntime runtime(comm, hvd::Knobs::paper_tuned(), gpu_model);
-    if (comm.rank() == 0) runtime.enable_timeline();
+    hvd::Knobs knobs = hvd::Knobs::paper_tuned();
+    knobs.timeline = comm.rank() == 0;
+    hvd::HorovodRuntime runtime(comm, knobs, gpu_model);
     // One training iteration's gradient stream at backprop ready times.
     for (std::size_t i = 0; i < profile.grad_names.size(); ++i) {
       runtime.submit({profile.grad_names[i], {}, profile.grad_bytes[i], profile.grad_ready_s[i]});

@@ -4,7 +4,9 @@
 // payload is one of these structs, bound to JSON through the field
 // lists below (util/json.hpp) — the ONLY per-struct code is the field
 // list itself, and it powers read and write both, so the protocol
-// cannot skew between directions. from_json is strict: unknown fields
+// cannot skew between directions. Library records travel as themselves:
+// a config file's `model` block is models::MiniDeepLabV3Plus::Config and
+// each /stats model block is serve::ServerStats, each with its own list. from_json is strict: unknown fields
 // and wrong-typed values are 400s, not silent drops.
 //
 // Images and logits travel as a flat float array plus an explicit NCHW
@@ -45,23 +47,6 @@ struct HttpConfig {
   }
 };
 
-/// Mirror of models::MiniDeepLabV3Plus::Config.
-struct ModelArch {
-  int in_channels = 3;
-  int num_classes = 6;
-  int input_size = 48;
-  int width = 16;
-  bool separable_backbone = false;
-
-  static constexpr auto json_fields() {
-    return std::make_tuple(json::field("in_channels", &ModelArch::in_channels),
-                           json::field("num_classes", &ModelArch::num_classes),
-                           json::field("input_size", &ModelArch::input_size),
-                           json::field("width", &ModelArch::width),
-                           json::field("separable_backbone", &ModelArch::separable_backbone));
-  }
-};
-
 /// One registry entry of the config file: a named model, its
 /// architecture, its checkpoint, and its serving knobs.
 struct ModelSpec {
@@ -72,7 +57,7 @@ struct ModelSpec {
   std::int64_t max_wait_us = 200;
   std::uint64_t queue_capacity = 64;
   std::string precision = "fp32";  ///< fp32 | bf16 | int8
-  ModelArch model;
+  models::MiniDeepLabV3Plus::Config model;
 
   static constexpr auto json_fields() {
     return std::make_tuple(json::field("name", &ModelSpec::name),
@@ -101,14 +86,8 @@ struct ServerSpec {
 /// naming the valid set otherwise.
 [[nodiscard]] nn::Precision parse_precision(const std::string& text);
 
-[[nodiscard]] models::MiniDeepLabV3Plus::Config to_model_config(const ModelArch& arch);
-[[nodiscard]] ModelArch to_model_arch(const models::MiniDeepLabV3Plus::Config& config);
-
 /// ModelSpec -> the ServeConfig Server wants (validates precision).
 [[nodiscard]] serve::ServeConfig to_serve_config(const ModelSpec& spec);
-/// Inverse, for round-trip tests and /stats-adjacent introspection.
-[[nodiscard]] ModelSpec to_model_spec(const serve::ServeConfig& config,
-                                      const std::string& checkpoint);
 
 /// Parses the JSON config file at `path` (throws std::runtime_error on
 /// I/O failure, json::Error on bad content).
@@ -214,51 +193,6 @@ struct HealthzResponse {
   }
 };
 
-/// Per-model block of /stats: serve::ServerStats plus the name.
-struct ModelStatsJson {
-  std::string name;
-  std::string precision = "fp32";
-  int model_version = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_full = 0;
-  std::uint64_t rejected_closed = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t reloads = 0;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t fp32_requests = 0;
-  std::uint64_t quantized_requests = 0;
-  double mean_batch_size = 0.0;
-  double queue_p50_us = 0.0, queue_p95_us = 0.0, queue_p99_us = 0.0;
-  double total_p50_us = 0.0, total_p95_us = 0.0, total_p99_us = 0.0;
-  double total_mean_us = 0.0, total_max_us = 0.0;
-
-  static constexpr auto json_fields() {
-    return std::make_tuple(
-        json::field("name", &ModelStatsJson::name),
-        json::field("precision", &ModelStatsJson::precision),
-        json::field("model_version", &ModelStatsJson::model_version),
-        json::field("accepted", &ModelStatsJson::accepted),
-        json::field("rejected_full", &ModelStatsJson::rejected_full),
-        json::field("rejected_closed", &ModelStatsJson::rejected_closed),
-        json::field("completed", &ModelStatsJson::completed),
-        json::field("batches", &ModelStatsJson::batches),
-        json::field("reloads", &ModelStatsJson::reloads),
-        json::field("queue_depth", &ModelStatsJson::queue_depth),
-        json::field("fp32_requests", &ModelStatsJson::fp32_requests),
-        json::field("quantized_requests", &ModelStatsJson::quantized_requests),
-        json::field("mean_batch_size", &ModelStatsJson::mean_batch_size),
-        json::field("queue_p50_us", &ModelStatsJson::queue_p50_us),
-        json::field("queue_p95_us", &ModelStatsJson::queue_p95_us),
-        json::field("queue_p99_us", &ModelStatsJson::queue_p99_us),
-        json::field("total_p50_us", &ModelStatsJson::total_p50_us),
-        json::field("total_p95_us", &ModelStatsJson::total_p95_us),
-        json::field("total_p99_us", &ModelStatsJson::total_p99_us),
-        json::field("total_mean_us", &ModelStatsJson::total_mean_us),
-        json::field("total_max_us", &ModelStatsJson::total_max_us));
-  }
-};
-
 /// Front-end block of /stats.
 struct FrontendStatsJson {
   int port = 0;
@@ -276,19 +210,16 @@ struct FrontendStatsJson {
   }
 };
 
-/// GET /stats body: the front-end plus one block per model.
+/// GET /stats body: the front-end plus one serve::ServerStats block per
+/// model, in registration order.
 struct StatsResponse {
   FrontendStatsJson server;
-  std::vector<ModelStatsJson> models;
+  std::vector<serve::ServerStats> models;
 
   static constexpr auto json_fields() {
     return std::make_tuple(json::field("server", &StatsResponse::server),
                            json::field("models", &StatsResponse::models));
   }
 };
-
-/// serve::ServerStats -> the /stats per-model block.
-[[nodiscard]] ModelStatsJson to_stats_json(const std::string& name,
-                                           const serve::ServerStats& stats);
 
 }  // namespace dlscale::http

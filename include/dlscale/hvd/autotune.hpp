@@ -56,14 +56,11 @@ struct TuningSpace {
 };
 
 /// Autotuner configuration (TrainConfig::autotune / ScalingConfig::autotune).
+/// The first window runs unscored under the initial knobs; the tuner
+/// freezes on the best-so-far knobs after 64 windows at the latest.
 struct AutotuneOptions {
   bool enabled = false;
   int window_steps = 4;     ///< optimisation steps per measurement window
-  int warmup_windows = 1;   ///< unscored windows under the initial knobs (>= 1)
-  /// A candidate must beat the incumbent by this relative margin to
-  /// replace it; a full coordinate pass with no replacement converges.
-  double min_relative_gain = 0.02;
-  int max_windows = 64;     ///< hard cap: freeze on best-so-far regardless
   TuningSpace space;
 };
 
@@ -99,13 +96,12 @@ class TuningPolicy {
 /// Deterministic coordinate descent: measure the baseline, then sweep one
 /// coordinate at a time (fusion threshold, cycle time, hierarchical,
 /// compression codec when TuningSpace::compressions is non-empty),
-/// keeping a candidate only if it beats the incumbent by
-/// min_relative_gain. Passes repeat while any coordinate improved, up to
-/// max_passes; a pass with no improvement converges.
+/// keeping a candidate only if it beats the incumbent by 2%. Passes
+/// repeat while any coordinate improved, up to 3; a pass with no
+/// improvement converges.
 class CoordinateDescentPolicy final : public TuningPolicy {
  public:
-  CoordinateDescentPolicy(Knobs base, TuningSpace space, double min_relative_gain = 0.02,
-                          int max_passes = 3);
+  CoordinateDescentPolicy(Knobs base, TuningSpace space);
 
   std::optional<Knobs> propose() override;
   void observe(const WindowMeasurement& measurement) override;
@@ -122,8 +118,6 @@ class CoordinateDescentPolicy final : public TuningPolicy {
   TuningSpace space_;
   Knobs best_;
   double best_score_ = 0.0;
-  double min_gain_;
-  int max_passes_;
   bool baseline_measured_ = false;
   bool done_ = false;
   int pass_ = 0;

@@ -52,7 +52,8 @@ struct Knobs {
   /// (HOROVOD_STALL_CHECK). 0 disables.
   std::uint64_t stall_warning_cycles = 500;
   /// Record negotiation/allreduce events for the Chrome-tracing timeline
-  /// from construction on (HOROVOD_TIMELINE: any non-empty value).
+  /// in every cycle run under these knobs (HOROVOD_TIMELINE: any
+  /// non-empty value).
   bool timeline = false;
   /// Gradient wire codec (DESIGN.md §12). kFp16 is Horovod's
   /// HOROVOD_FP16_ALLREDUCE: halves wire bytes at ~1e-3 relative
@@ -165,12 +166,9 @@ class HorovodRuntime {
   /// regardless of per-rank initialisation. Collective.
   void broadcast(std::span<float> data, int root = 0);
 
-  /// Record negotiation/allreduce events for the Horovod-timeline-style
-  /// trace (HOROVOD_TIMELINE equivalent). Call before the first cycle.
-  void enable_timeline() { timeline_enabled_ = true; }
-
-  /// Write the recorded trace as Chrome tracing JSON (load in
-  /// chrome://tracing or Perfetto). Timestamps are virtual microseconds.
+  /// Write the events recorded while Knobs::timeline was on as Chrome
+  /// tracing JSON (load in chrome://tracing or Perfetto). Timestamps are
+  /// virtual microseconds.
   void write_timeline(std::ostream& out) const;
 
   /// Stage a knob change. It is applied atomically at the start of the
@@ -248,7 +246,6 @@ class HorovodRuntime {
     std::string name;
     const char* phase;  // "negotiation" | "allreduce"
   };
-  bool timeline_enabled_ = false;
   std::vector<TimelineEvent> timeline_;
 };
 

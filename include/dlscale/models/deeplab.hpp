@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "dlscale/nn/layers.hpp"
+#include "dlscale/util/json.hpp"
 
 namespace dlscale::models {
 
@@ -28,6 +29,16 @@ class MiniDeepLabV3Plus {
     /// Use Xception-style depthwise-separable encoder blocks (the
     /// paper's actual backbone family) instead of plain convolutions.
     bool separable_backbone = false;
+
+    /// The `model` block of a server config file (http::ModelSpec).
+    static constexpr auto json_fields() {
+      namespace json = util::json;
+      return std::make_tuple(json::field("in_channels", &Config::in_channels),
+                             json::field("num_classes", &Config::num_classes),
+                             json::field("input_size", &Config::input_size),
+                             json::field("width", &Config::width),
+                             json::field("separable_backbone", &Config::separable_backbone));
+    }
   };
 
   MiniDeepLabV3Plus(Config config, util::Rng& rng);

@@ -15,7 +15,7 @@
 // alive for the whole request even if the registry shuts down
 // meanwhile. Models can be added while serving; there is deliberately
 // no remove — production registries drain models by closing their
-// admissions (shutdown_model), and dropping the map entry would turn
+// admissions (at(name).shutdown()), and dropping the map entry would turn
 // lookups into lifetime puzzles for no operational win.
 #pragma once
 
@@ -70,20 +70,10 @@ class ModelRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
   [[nodiscard]] std::size_t size() const;
 
-  /// Per-model hot-reload (Server::reload semantics: atomic swap, strong
-  /// guarantee on throw). Throws UnknownModelError for a bad name.
-  void reload(const std::string& name, const std::string& checkpoint_path);
-  void reload(const std::string& name, const std::string& checkpoint_path,
-              QuantizeSpec quantize);
-
-  /// Point-in-time stats of one model / of every model (registration
-  /// order) — the /stats payload.
-  [[nodiscard]] ServerStats stats(const std::string& name) const;
-  [[nodiscard]] std::vector<std::pair<std::string, ServerStats>> stats_all() const;
-
-  /// Stops admissions on one model and drains it (its entry stays, so
-  /// /stats keeps reporting the drained counters).
-  void shutdown_model(const std::string& name);
+  /// Point-in-time stats of every model in registration order — the
+  /// /stats payload. Per-model actions go through at(name): reload(),
+  /// stats(), shutdown().
+  [[nodiscard]] std::vector<ServerStats> stats_all() const;
 
   /// Drains every model. Idempotent; called by the destructor.
   void shutdown();

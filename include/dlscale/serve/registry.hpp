@@ -1,9 +1,5 @@
-// Checkpoint-backed model replicas with atomic hot-reload.
-//
-// (This class was named ModelRegistry before the multi-model registry
-// landed; serve::ModelRegistry in model_registry.hpp is now the NAMED
-// many-model map, and ReplicaRegistry is the per-model replica-set
-// holder each of its Servers owns.)
+// Checkpoint-backed model replicas with atomic hot-reload: the
+// per-model replica-set holder each Server owns.
 //
 // One replica per worker: workers index their own replica, so forward
 // passes never share mutable model state and need no per-inference lock.
@@ -16,9 +12,9 @@
 // mid-inference.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,11 +33,9 @@ struct QuantizeSpec {
   /// Int8 only: observer the calibration forwards feed.
   nn::CalibrationConfig calibration{};
   /// Int8 only: images for the calibration forwards, (B,C,S,S) matching
-  /// the model config. Empty → `calibration_batch` deterministic uniform
-  /// [0,1) images generated from `calibration_seed`.
+  /// the model config. Empty → a fixed-seed batch of deterministic
+  /// uniform [0,1) images.
   tensor::Tensor calibration_images;
-  int calibration_batch = 4;
-  std::uint64_t calibration_seed = 0x5EEDCA11;
 };
 
 /// An immutable-by-convention generation of model replicas. `version`
@@ -65,13 +59,10 @@ class ReplicaRegistry {
 
   /// Atomic hot-reload: standby set, load, calibrate/convert, swap.
   /// Strong guarantee — on throw the current set is untouched and keeps
-  /// serving. Reuses the registry's current QuantizeSpec.
-  void reload(const std::string& path);
-
-  /// Hot-reload AND switch serving precision in one swap (e.g. load an
-  /// fp32 checkpoint, serve it int8). The spec becomes the registry's
-  /// policy for subsequent reloads.
-  void reload(const std::string& path, QuantizeSpec quantize);
+  /// serving. A `quantize` spec switches serving precision in the same
+  /// swap (e.g. load an fp32 checkpoint, serve it int8) and becomes the
+  /// policy for subsequent reloads; without one the current spec is reused.
+  void reload(const std::string& path, std::optional<QuantizeSpec> quantize = std::nullopt);
 
   /// Current replica set. The returned shared_ptr pins the generation for
   /// the caller's batch; workers must use exactly replicas[worker_id].
@@ -87,7 +78,8 @@ class ReplicaRegistry {
 
  private:
   [[nodiscard]] std::shared_ptr<ReplicaSet> build_loaded_set(const std::string& path,
-                                                             int version) const;
+                                                             int version,
+                                                             const QuantizeSpec& quantize) const;
 
   models::MiniDeepLabV3Plus::Config config_;
   int replica_count_;

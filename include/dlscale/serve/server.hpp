@@ -28,6 +28,7 @@
 #include "dlscale/serve/queue.hpp"
 #include "dlscale/serve/registry.hpp"
 #include "dlscale/serve/types.hpp"
+#include "dlscale/util/json.hpp"
 #include "dlscale/util/stats.hpp"
 
 namespace dlscale::serve {
@@ -68,8 +69,12 @@ enum class RejectReason {
   kClosed,     ///< shutting down — drain in progress
 };
 
-/// Point-in-time counters + latency percentiles (microseconds).
+/// Point-in-time counters + latency percentiles (microseconds). Also the
+/// per-model block of the HTTP `/stats` body, through json_fields().
 struct ServerStats {
+  std::string name;  ///< ServeConfig::name
+  std::string precision = "fp32";  ///< current replica set's precision tag
+  int model_version = 0;
   std::uint64_t accepted = 0;
   /// Shed at admission, split by what operators act on (full = add
   /// capacity, closed = expected drain).
@@ -79,8 +84,6 @@ struct ServerStats {
   std::uint64_t batches = 0;
   std::uint64_t reloads = 0;
   std::size_t queue_depth = 0;
-  int model_version = 0;
-  const char* precision = "fp32";  ///< current replica set's precision tag
   /// Completed-request split by the precision that served them; a
   /// hot-reload that flips precision moves subsequent traffic between
   /// these (fp32_requests + quantized_requests == completed).
@@ -91,6 +94,31 @@ struct ServerStats {
   double queue_p50_us = 0.0, queue_p95_us = 0.0, queue_p99_us = 0.0;
   double total_p50_us = 0.0, total_p95_us = 0.0, total_p99_us = 0.0;
   double total_mean_us = 0.0, total_max_us = 0.0;
+
+  static constexpr auto json_fields() {
+    namespace json = util::json;
+    return std::make_tuple(json::field("name", &ServerStats::name),
+                           json::field("precision", &ServerStats::precision),
+                           json::field("model_version", &ServerStats::model_version),
+                           json::field("accepted", &ServerStats::accepted),
+                           json::field("rejected_full", &ServerStats::rejected_full),
+                           json::field("rejected_closed", &ServerStats::rejected_closed),
+                           json::field("completed", &ServerStats::completed),
+                           json::field("batches", &ServerStats::batches),
+                           json::field("reloads", &ServerStats::reloads),
+                           json::field("queue_depth", &ServerStats::queue_depth),
+                           json::field("fp32_requests", &ServerStats::fp32_requests),
+                           json::field("quantized_requests", &ServerStats::quantized_requests),
+                           json::field("mean_batch_size", &ServerStats::mean_batch_size),
+                           json::field("queue_p50_us", &ServerStats::queue_p50_us),
+                           json::field("queue_p95_us", &ServerStats::queue_p95_us),
+                           json::field("queue_p99_us", &ServerStats::queue_p99_us),
+                           json::field("total_p50_us", &ServerStats::total_p50_us),
+                           json::field("total_p95_us", &ServerStats::total_p95_us),
+                           json::field("total_p99_us", &ServerStats::total_p99_us),
+                           json::field("total_mean_us", &ServerStats::total_mean_us),
+                           json::field("total_max_us", &ServerStats::total_max_us));
+  }
 };
 
 class Server {
@@ -113,13 +141,12 @@ class Server {
                                                             RejectReason* why = nullptr);
 
   /// Hot-swap weights from a new checkpoint. Throws on a bad file, in
-  /// which case the old weights keep serving (strong guarantee).
-  void reload(const std::string& checkpoint_path);
-
-  /// Hot-swap weights AND serving precision in one atomic swap — e.g.
-  /// re-serve the current fp32 checkpoint as int8. Same strong guarantee;
-  /// the spec sticks for subsequent reloads.
-  void reload(const std::string& checkpoint_path, QuantizeSpec quantize);
+  /// which case the old weights keep serving (strong guarantee). A
+  /// `quantize` spec switches the serving precision in the same atomic
+  /// swap (e.g. re-serve the current fp32 checkpoint as int8) and sticks
+  /// for subsequent reloads; without one the current spec is kept.
+  void reload(const std::string& checkpoint_path,
+              std::optional<QuantizeSpec> quantize = std::nullopt);
 
   [[nodiscard]] ServerStats stats() const;
   [[nodiscard]] int model_version() const { return registry_.version(); }

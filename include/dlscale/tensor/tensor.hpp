@@ -47,6 +47,12 @@ class Shape {
   [[nodiscard]] bool empty() const noexcept { return ndim_ == 0; }
   [[nodiscard]] int operator[](std::size_t i) const noexcept { return dims_[i]; }
   [[nodiscard]] int at(std::size_t i) const;
+  /// Product of the dims. Throws std::invalid_argument on a non-positive
+  /// dim and std::overflow_error when the product does not fit size_t;
+  /// both messages name the shape.
+  [[nodiscard]] std::size_t numel() const;
+  /// "(d0,d1,...)", the form errors name shapes in.
+  [[nodiscard]] std::string str() const;
   [[nodiscard]] const int* begin() const noexcept { return dims_.data(); }
   [[nodiscard]] const int* end() const noexcept { return dims_.data() + ndim_; }
 

@@ -198,35 +198,31 @@ Response HttpServer::handle_predict(const std::string& name, const Request& requ
   } catch (const util::json::Error& e) {
     return simple_error(400, std::string("bad predict body: ") + e.what());
   }
-  // Pre-tensor validation: shape arity/positivity and element count must
-  // agree before the bytes are trusted.
-  if (predict.shape.size() != 3 && predict.shape.size() != 4) {
+  // Pre-tensor validation: shape arity, positivity, a count that fits
+  // size_t, and agreement with the image must hold before the bytes are
+  // trusted.
+  const auto bad_shape = [&](std::string error) {
     ErrorResponse body;
-    body.error = "shape must have 3 (C,S,S) or 4 (1,C,S,S) dims";
+    body.error = std::move(error);
     body.model = name;
     body.got_shape = predict.shape;
     return error_response(400, std::move(body));
+  };
+  if (predict.shape.size() != 3 && predict.shape.size() != 4) {
+    return bad_shape("shape must have 3 (C,S,S) or 4 (1,C,S,S) dims");
   }
-  std::size_t numel = 1;
-  for (const int dim : predict.shape) {
-    if (dim <= 0) {
-      ErrorResponse body;
-      body.error = "shape dims must be positive";
-      body.model = name;
-      body.got_shape = predict.shape;
-      return error_response(400, std::move(body));
-    }
-    numel *= static_cast<std::size_t>(dim);
+  const tensor::Shape shape(predict.shape);
+  std::size_t numel = 0;
+  try {
+    numel = shape.numel();
+  } catch (const std::exception& e) {  // non-positive dim or size_t overflow
+    return bad_shape(e.what());
   }
   if (numel != predict.image.size()) {
-    ErrorResponse body;
-    body.error = "image has " + std::to_string(predict.image.size()) +
-                 " floats but shape wants " + std::to_string(numel);
-    body.model = name;
-    body.got_shape = predict.shape;
-    return error_response(400, std::move(body));
+    return bad_shape("image has " + std::to_string(predict.image.size()) +
+                     " floats but shape wants " + std::to_string(numel));
   }
-  tensor::Tensor image(tensor::Shape(predict.shape));
+  tensor::Tensor image(shape);
   std::memcpy(image.ptr(), predict.image.data(), numel * sizeof(float));
 
   serve::RejectReason why = serve::RejectReason::kNone;
@@ -292,13 +288,12 @@ Response HttpServer::handle_reload(const std::string& name, const Request& reque
     return simple_error(400, "reload needs a \"checkpoint\" path");
   }
   try {
-    if (reload.precision.empty()) {
-      server->reload(reload.checkpoint);
-    } else {
-      serve::QuantizeSpec spec;
-      spec.precision = parse_precision(reload.precision);
-      server->reload(reload.checkpoint, std::move(spec));
+    std::optional<serve::QuantizeSpec> spec;
+    if (!reload.precision.empty()) {
+      spec.emplace();
+      spec->precision = parse_precision(reload.precision);
     }
+    server->reload(reload.checkpoint, std::move(spec));
   } catch (const std::exception& e) {
     // Strong guarantee: the old weights keep serving; tell the operator
     // why the swap was refused.
@@ -307,10 +302,12 @@ Response HttpServer::handle_reload(const std::string& name, const Request& reque
     body.model = name;
     return error_response(400, std::move(body));
   }
+  // One snapshot, so version and precision come from one generation.
+  serve::ServerStats stats = server->stats();
   ReloadResponse body;
   body.model = name;
-  body.model_version = server->model_version();
-  body.precision = server->stats().precision;  // already the name string
+  body.model_version = stats.model_version;
+  body.precision = std::move(stats.precision);
   return json_response(200, body);
 }
 
@@ -326,9 +323,7 @@ Response HttpServer::handle_healthz() {
 Response HttpServer::handle_stats() {
   StatsResponse body;
   body.server = frontend_stats();
-  for (auto& [name, stats] : registry_.stats_all()) {
-    body.models.push_back(to_stats_json(name, stats));
-  }
+  body.models = registry_.stats_all();
   return json_response(200, body);
 }
 

@@ -13,6 +13,10 @@ namespace dlscale::hvd {
 namespace {
 
 constexpr int kAxes = 4;  // fusion threshold, cycle time, hierarchical, compression
+constexpr int kMaxPasses = 3;
+// A candidate must beat the incumbent by this relative margin to replace it.
+constexpr double kMinRelativeGain = 0.02;
+constexpr int kMaxWindows = 64;  // hard cap: freeze on best-so-far regardless
 
 // The decision record, rank 0 -> world: {frozen, knobs}. One field list
 // drives both directions, so the encoder and decoder cannot drift apart.
@@ -56,12 +60,8 @@ std::pair<bool, Knobs> broadcast_decision(mpi::Communicator& comm, bool frozen, 
 
 // ---- CoordinateDescentPolicy ----
 
-CoordinateDescentPolicy::CoordinateDescentPolicy(Knobs base, TuningSpace space,
-                                                 double min_relative_gain, int max_passes)
-    : space_(std::move(space)),
-      best_(base),
-      min_gain_(min_relative_gain),
-      max_passes_(std::max(1, max_passes)) {}
+CoordinateDescentPolicy::CoordinateDescentPolicy(Knobs base, TuningSpace space)
+    : space_(std::move(space)), best_(base) {}
 
 std::size_t CoordinateDescentPolicy::axis_size(int axis) const {
   switch (axis) {
@@ -97,7 +97,7 @@ std::optional<Knobs> CoordinateDescentPolicy::propose() {
   if (!baseline_measured_) return best_;  // first window scores the incumbent
   while (true) {
     if (axis_ >= kAxes) {
-      if (!pass_improved_ || pass_ + 1 >= max_passes_) {
+      if (!pass_improved_ || pass_ + 1 >= kMaxPasses) {
         done_ = true;
         return std::nullopt;
       }
@@ -123,7 +123,7 @@ void CoordinateDescentPolicy::observe(const WindowMeasurement& measurement) {
     best_score_ = measurement.score;
     return;
   }
-  if (measurement.score < best_score_ * (1.0 - min_gain_)) {
+  if (measurement.score < best_score_ * (1.0 - kMinRelativeGain)) {
     best_ = measurement.knobs;
     best_score_ = measurement.score;
     pass_improved_ = true;
@@ -167,11 +167,8 @@ Autotuner::Autotuner(HorovodRuntime& runtime, AutotuneOptions options,
     : runtime_(&runtime), options_(options), policy_(std::move(policy)),
       active_(runtime.knobs()) {
   options_.window_steps = std::max(1, options_.window_steps);
-  options_.warmup_windows = std::max(1, options_.warmup_windows);
-  options_.max_windows = std::max(options_.warmup_windows + 1, options_.max_windows);
   if (!policy_ && runtime_->comm().rank() == 0) {
-    policy_ = std::make_unique<CoordinateDescentPolicy>(active_, options_.space,
-                                                        options_.min_relative_gain);
+    policy_ = std::make_unique<CoordinateDescentPolicy>(active_, options_.space);
   }
   begin_window();
 }
@@ -188,8 +185,7 @@ void Autotuner::on_world_change() {
     // The policy owner died with the old rank 0. Restart the search from
     // the incumbent knobs; already-frozen state (resynced below) still
     // wins, so a frozen tuner never resumes exploring.
-    policy_ = std::make_unique<CoordinateDescentPolicy>(active_, options_.space,
-                                                        options_.min_relative_gain);
+    policy_ = std::make_unique<CoordinateDescentPolicy>(active_, options_.space);
   }
   // A failure can interrupt a window-finishing broadcast after some ranks
   // already applied the decision: survivors may disagree on the active
@@ -251,10 +247,9 @@ void Autotuner::finish_window(bool force_freeze) {
   bool freeze_now = force_freeze;
   Knobs next = active_;
   if (comm.rank() == 0) {
-    // Window index `windows_completed_` ran under a policy proposal iff
-    // it is past the warmup prefix; only those windows are scored.
-    const bool scored = windows_completed_ >= options_.warmup_windows;
-    if (scored && steps_in_window_ > 0) {
+    // Window 0 is the unscored warmup under the initial knobs; every later
+    // window ran under a policy proposal and is scored.
+    if (windows_completed_ > 0 && steps_in_window_ > 0) {
       WindowMeasurement measurement;
       measurement.knobs = active_;
       measurement.window_time_s = window_s;
@@ -264,8 +259,8 @@ void Autotuner::finish_window(bool force_freeze) {
       policy_->observe(measurement);
       history_.push_back(measurement);
     }
-    if (windows_completed_ + 1 >= options_.max_windows) freeze_now = true;
-    if (!freeze_now && windows_completed_ + 1 >= options_.warmup_windows) {
+    if (windows_completed_ + 1 >= kMaxWindows) freeze_now = true;
+    if (!freeze_now) {
       const std::optional<Knobs> proposal = policy_->propose();
       if (proposal) {
         next = *proposal;

@@ -10,6 +10,7 @@
 
 #include "dlscale/util/env.hpp"
 #include "dlscale/util/fp16.hpp"
+#include "dlscale/util/json.hpp"
 #include "dlscale/util/logging.hpp"
 #include "dlscale/util/wire.hpp"
 
@@ -141,7 +142,6 @@ HorovodRuntime::HorovodRuntime(mpi::Communicator& comm, Knobs knobs, gpu::Comput
       copy_model_(std::move(copy_model)),
       max_cycles_(max_cycles_from_env()) {
   if (knobs_.fusion_threshold == 0) knobs_.fusion_threshold = 1;  // per-tensor launches
-  if (knobs_.timeline) timeline_enabled_ = true;
 }
 
 void HorovodRuntime::submit(TensorRequest request) {
@@ -198,7 +198,6 @@ bool HorovodRuntime::cycle() {
   if (pending_knobs_) {
     knobs_ = *pending_knobs_;
     if (knobs_.fusion_threshold == 0) knobs_.fusion_threshold = 1;
-    if (knobs_.timeline) timeline_enabled_ = true;
     pending_knobs_.reset();
   }
   ++stats_.cycles;
@@ -292,7 +291,7 @@ bool HorovodRuntime::cycle() {
   }
   const auto response_blob = comm_.bcast_blob(response, 0);
   stats_.control_bytes += response_blob.size();
-  if (timeline_enabled_) {
+  if (knobs_.timeline) {
     timeline_.push_back({negotiation_start, comm_.now(),
                          "cycle " + std::to_string(stats_.cycles), "negotiation"});
   }
@@ -453,7 +452,7 @@ void HorovodRuntime::execute_batch(const std::vector<std::string>& names) {
   if (codec != CompressionAlgo::kNone) stats_.compress_unpack_s += seconds_since(unpack_start);
   charge_copy();
 
-  if (timeline_enabled_) {
+  if (knobs_.timeline) {
     timeline_.push_back({exec_start, comm_.now(),
                          names.size() == 1 ? names.front()
                                            : names.front() + " (+" +
@@ -471,17 +470,19 @@ void HorovodRuntime::broadcast(std::span<float> data, int root) {
 }
 
 void HorovodRuntime::write_timeline(std::ostream& out) const {
-  out << "[";
-  bool first = true;
+  util::json::Value events = util::json::Value::array();
   for (const TimelineEvent& event : timeline_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\": \"" << event.name << "\", \"cat\": \"" << event.phase
-        << "\", \"ph\": \"X\", \"ts\": " << event.start_s * 1e6
-        << ", \"dur\": " << (event.end_s - event.start_s) * 1e6
-        << ", \"pid\": 0, \"tid\": " << comm_.rank() << "}";
+    util::json::Value e = util::json::Value::object();
+    e.set("name", event.name);
+    e.set("cat", event.phase);
+    e.set("ph", "X");
+    e.set("ts", event.start_s * 1e6);
+    e.set("dur", (event.end_s - event.start_s) * 1e6);
+    e.set("pid", 0);
+    e.set("tid", comm_.rank());
+    events.push_back(std::move(e));
   }
-  out << "\n]\n";
+  out << util::json::write(events) << '\n';
 }
 
 void HorovodRuntime::synchronize() {

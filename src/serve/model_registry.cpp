@@ -78,18 +78,7 @@ std::size_t ModelRegistry::size() const {
   return models_.size();
 }
 
-void ModelRegistry::reload(const std::string& name, const std::string& checkpoint_path) {
-  at(name).reload(checkpoint_path);
-}
-
-void ModelRegistry::reload(const std::string& name, const std::string& checkpoint_path,
-                           QuantizeSpec quantize) {
-  at(name).reload(checkpoint_path, std::move(quantize));
-}
-
-ServerStats ModelRegistry::stats(const std::string& name) const { return at(name).stats(); }
-
-std::vector<std::pair<std::string, ServerStats>> ModelRegistry::stats_all() const {
+std::vector<ServerStats> ModelRegistry::stats_all() const {
   // Snapshot the map, then collect stats unlocked: Server::stats takes
   // the server's own mutex and must not nest inside ours.
   std::vector<std::pair<std::string, std::shared_ptr<Server>>> snapshot;
@@ -97,13 +86,11 @@ std::vector<std::pair<std::string, ServerStats>> ModelRegistry::stats_all() cons
     std::lock_guard lock(mutex_);
     snapshot = models_;
   }
-  std::vector<std::pair<std::string, ServerStats>> out;
+  std::vector<ServerStats> out;
   out.reserve(snapshot.size());
-  for (const auto& [name, server] : snapshot) out.emplace_back(name, server->stats());
+  for (const auto& [name, server] : snapshot) out.push_back(server->stats());
   return out;
 }
-
-void ModelRegistry::shutdown_model(const std::string& name) { at(name).shutdown(); }
 
 void ModelRegistry::shutdown() {
   std::vector<std::pair<std::string, std::shared_ptr<Server>>> snapshot;

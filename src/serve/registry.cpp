@@ -1,6 +1,7 @@
 #include "dlscale/serve/registry.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "dlscale/train/checkpoint.hpp"
@@ -10,16 +11,18 @@ namespace dlscale::serve {
 
 namespace {
 
+constexpr int kCalibrationBatch = 4;
+constexpr std::uint64_t kCalibrationSeed = 0x5EEDCA11;
+
 /// Deterministic uniform [0,1) calibration batch matching the model's
 /// input shape — the fallback when the caller supplies no images. Uniform
 /// noise is range-representative for the synthetic dataset's [0,1] pixel
 /// space, and every layer still sees its own weight-shaped activation
 /// distribution during the forwards.
-tensor::Tensor synthetic_calibration_batch(const models::MiniDeepLabV3Plus::Config& config,
-                                           int batch, std::uint64_t seed) {
-  if (batch < 1) batch = 1;
-  util::Rng rng(seed);
-  tensor::Tensor images({batch, config.in_channels, config.input_size, config.input_size});
+tensor::Tensor synthetic_calibration_batch(const models::MiniDeepLabV3Plus::Config& config) {
+  util::Rng rng(kCalibrationSeed);
+  tensor::Tensor images(
+      {kCalibrationBatch, config.in_channels, config.input_size, config.input_size});
   float* p = images.ptr();
   const std::size_t n = static_cast<std::size_t>(images.numel());
   for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<float>(rng.uniform());
@@ -33,18 +36,12 @@ ReplicaRegistry::ReplicaRegistry(models::MiniDeepLabV3Plus::Config config, int r
     : config_(config),
       replica_count_(replica_count < 1 ? 1 : replica_count),
       quantize_(std::move(quantize)) {
-  current_ = build_loaded_set(path, /*version=*/1);
+  current_ = build_loaded_set(path, /*version=*/1, quantize_);
 }
 
 std::shared_ptr<ReplicaSet> ReplicaRegistry::build_loaded_set(const std::string& path,
-                                                            int version) const {
-  // Snapshot the policy up front: the slow load below runs unlocked, and
-  // a concurrent reload(path, spec) may replace quantize_ meanwhile.
-  QuantizeSpec quantize;
-  {
-    std::lock_guard lock(mutex_);
-    quantize = quantize_;
-  }
+                                                            int version,
+                                                            const QuantizeSpec& quantize) const {
   auto set = std::make_shared<ReplicaSet>();
   set->version = version;
   set->replicas.reserve(static_cast<std::size_t>(replica_count_));
@@ -78,8 +75,7 @@ std::shared_ptr<ReplicaSet> ReplicaRegistry::build_loaded_set(const std::string&
     {
       const tensor::Tensor calib =
           quantize.calibration_images.empty()
-              ? synthetic_calibration_batch(config_, quantize.calibration_batch,
-                                            quantize.calibration_seed)
+              ? synthetic_calibration_batch(config_)
               : quantize.calibration_images;
       nn::CalibrationSession session(table);
       (void)primary.forward(calib, /*train=*/false);
@@ -98,30 +94,24 @@ std::shared_ptr<ReplicaSet> ReplicaRegistry::build_loaded_set(const std::string&
   return set;
 }
 
-void ReplicaRegistry::reload(const std::string& path) {
+void ReplicaRegistry::reload(const std::string& path, std::optional<QuantizeSpec> quantize) {
   // Standby-then-swap: all the throwing work happens before the swap, so
-  // a corrupt checkpoint leaves the serving generation untouched.
+  // a corrupt checkpoint leaves the serving generation untouched. The
+  // policy is snapshotted under the lock because the slow load below
+  // runs unlocked; concurrent reloads are last-writer-wins on the swap.
   int next_version = 0;
   {
     std::lock_guard lock(mutex_);
     next_version = current_->version + 1;
+    if (!quantize) quantize = quantize_;
   }
-  auto standby = build_loaded_set(path, next_version);
+  auto standby = build_loaded_set(path, next_version, *quantize);
   std::lock_guard lock(mutex_);
+  quantize_ = std::move(*quantize);
   current_ = std::move(standby);
   // Workers holding the old shared_ptr finish their in-flight batches on
   // the superseded weights; the old set frees itself when the last batch
   // completes. No drain barrier needed.
-}
-
-void ReplicaRegistry::reload(const std::string& path, QuantizeSpec quantize) {
-  {
-    std::lock_guard lock(mutex_);
-    quantize_ = std::move(quantize);
-  }
-  // Concurrent reloads are last-writer-wins on the swap; build_loaded_set
-  // snapshots the policy under the lock, so there is no torn read.
-  reload(path);
 }
 
 std::shared_ptr<ReplicaSet> ReplicaRegistry::acquire() const {

@@ -9,23 +9,9 @@
 
 namespace dlscale::serve {
 
-namespace {
-
-std::string shape_text(const tensor::Shape& shape) {
-  std::string out = "(";
-  for (const int* d = shape.begin(); d != shape.end(); ++d) {
-    if (d != shape.begin()) out += ",";
-    out += std::to_string(*d);
-  }
-  out += ")";
-  return out;
-}
-
-}  // namespace
-
 ShapeError::ShapeError(std::string model, tensor::Shape expected, tensor::Shape got)
     : std::invalid_argument("model \"" + model + "\": expected image shape " +
-                            shape_text(expected) + ", got " + shape_text(got)),
+                            expected.str() + ", got " + got.str()),
       model_(std::move(model)),
       expected_(expected),
       got_(got) {}
@@ -84,13 +70,8 @@ std::optional<std::future<Response>> Server::submit(tensor::Tensor image, Reject
   return future;
 }
 
-void Server::reload(const std::string& checkpoint_path) {
-  registry_.reload(checkpoint_path);  // throws on bad file, old set intact
-  std::lock_guard lock(stats_mutex_);
-  ++reloads_;
-}
-
-void Server::reload(const std::string& checkpoint_path, QuantizeSpec quantize) {
+void Server::reload(const std::string& checkpoint_path, std::optional<QuantizeSpec> quantize) {
+  // Throws on a bad file, leaving the old set intact.
   registry_.reload(checkpoint_path, std::move(quantize));
   std::lock_guard lock(stats_mutex_);
   ++reloads_;
@@ -179,9 +160,15 @@ void Server::run_batch(Batch&& batch, int worker_id) {
 
 ServerStats Server::stats() const {
   ServerStats s;
+  s.name = config_.name;
   s.queue_depth = queue_.depth();
-  s.model_version = registry_.version();
-  s.precision = nn::precision_name(registry_.precision());
+  {
+    // One generation for both: a concurrent reload cannot pair one set's
+    // version with the other's precision.
+    const std::shared_ptr<ReplicaSet> set = registry_.acquire();
+    s.model_version = set->version;
+    s.precision = nn::precision_name(set->precision);
+  }
   std::lock_guard lock(stats_mutex_);
   s.accepted = accepted_;
   s.rejected_full = rejected_full_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,18 +10,28 @@
 
 namespace dlscale::tensor {
 
-namespace {
+std::string Shape::str() const {
+  std::string out = "(";
+  for (const int* d = begin(); d != end(); ++d) {
+    if (d != begin()) out += ",";
+    out += std::to_string(*d);
+  }
+  return out + ")";
+}
 
-std::size_t checked_numel(const Shape& shape) {
+std::size_t Shape::numel() const {
   std::size_t n = 1;
-  for (int d : shape) {
-    if (d <= 0) throw std::invalid_argument("Tensor: dimensions must be positive");
+  for (const int d : *this) {
+    if (d <= 0) {
+      throw std::invalid_argument("shape " + str() + ": dimensions must be positive");
+    }
+    if (n > std::numeric_limits<std::size_t>::max() / static_cast<std::size_t>(d)) {
+      throw std::overflow_error("shape " + str() + ": element count overflows size_t");
+    }
     n *= static_cast<std::size_t>(d);
   }
   return n;
 }
-
-}  // namespace
 
 void Shape::assign(const int* dims, std::size_t n) {
   if (n > kMaxDims) throw std::invalid_argument("Shape: at most 4 dimensions");
@@ -59,7 +70,7 @@ void Tensor::release_storage() noexcept {
   // owned_ keeps its capacity for reuse by the next assignment.
 }
 
-Tensor::Tensor(const Shape& shape) : shape_(shape), numel_(checked_numel(shape)) {
+Tensor::Tensor(const Shape& shape) : shape_(shape), numel_(shape.numel()) {
   init_storage(/*zero_fill=*/true);
 }
 
@@ -124,7 +135,7 @@ std::string Tensor::shape_str() const {
 }
 
 Tensor Tensor::reshaped(const Shape& shape) const {
-  if (checked_numel(shape) != numel_) {
+  if (shape.numel() != numel_) {
     throw std::invalid_argument("reshaped: element count mismatch");
   }
   Tensor out(*this);

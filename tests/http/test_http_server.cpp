@@ -124,6 +124,23 @@ TEST(HttpRouting, BadPredictBodiesAre400s) {
   EXPECT_EQ(error.model, "seg-fp32");
 }
 
+TEST(HttpRouting, ShapeWhoseElementCountWrapsIsA400NamingIt) {
+  Frontend frontend;
+  dh::Request request;
+  request.method = "POST";
+  request.target = "/v1/models/seg-fp32:predict";
+  // 2^22 * 2^21 * 2^21 = 2^64 wraps size_t to 0, which an empty image
+  // would match.
+  request.body = R"({"shape": [4194304, 2097152, 2097152], "image": []})";
+  const dh::Response response = frontend.server->handle(request);
+  EXPECT_EQ(response.status, 400);
+  const auto error = dj::from_json<dh::ErrorResponse>(response.body);
+  EXPECT_NE(error.error.find("(4194304,2097152,2097152)"), std::string::npos) << error.error;
+  EXPECT_NE(error.error.find("overflows"), std::string::npos) << error.error;
+  EXPECT_EQ(error.got_shape, (std::vector<int>{4194304, 2097152, 2097152}));
+  EXPECT_TRUE(error.expected_shape.empty());  // rejected before the model is asked
+}
+
 TEST(HttpRouting, WrongModelShapeNamesExpectedVsGot) {
   Frontend frontend;
   // Well-formed body, wrong spatial size for the model: the serve-layer
@@ -235,8 +252,8 @@ TEST(HttpServer, ConcurrentClientsBitwiseEqualAcrossModels) {
 
   // Both models saw their half of the traffic (each image was served
   // twice: the in-process ground-truth pass plus the HTTP pass).
-  const auto fp32 = frontend.registry.stats("seg-fp32");
-  const auto int8 = frontend.registry.stats("seg-int8");
+  const auto fp32 = frontend.registry.at("seg-fp32").stats();
+  const auto int8 = frontend.registry.at("seg-int8").stats();
   constexpr auto kTotal = static_cast<std::uint64_t>(kClients * kRequestsPerClient);
   EXPECT_EQ(fp32.completed, kTotal);
   EXPECT_EQ(int8.completed, kTotal);
@@ -269,8 +286,8 @@ TEST(HttpServer, StatsReportPerModelCountersAndPercentiles) {
   EXPECT_EQ(stats.server.http_errors, 2u);
 
   ASSERT_EQ(stats.models.size(), 2u);
-  const dh::ModelStatsJson& fp32 = stats.models[0];
-  const dh::ModelStatsJson& int8 = stats.models[1];
+  const ds::ServerStats& fp32 = stats.models[0];
+  const ds::ServerStats& int8 = stats.models[1];
   EXPECT_EQ(fp32.name, "seg-fp32");
   EXPECT_EQ(int8.name, "seg-int8");
   EXPECT_EQ(fp32.precision, "fp32");
@@ -310,7 +327,7 @@ TEST(HttpServer, ReloadEndpointSwapsWeightsAndPrecision) {
       client.post_json<dh::ReloadResponse>("/v1/models/seg-fp32:reload", reload);
   EXPECT_EQ(flipped.model_version, 3);
   EXPECT_EQ(flipped.precision, "bf16");
-  EXPECT_STREQ(frontend.registry.stats("seg-fp32").precision, "bf16");
+  EXPECT_EQ(frontend.registry.at("seg-fp32").stats().precision, "bf16");
 
   // Bad reloads: missing checkpoint field, bad precision, bad file.
   EXPECT_EQ(client.request("POST", "/v1/models/seg-fp32:reload", "{}").status, 400);
@@ -326,7 +343,7 @@ TEST(HttpServer, ReloadEndpointSwapsWeightsAndPrecision) {
                 .status,
             400);
   // The failed swaps left the model serving (strong guarantee).
-  EXPECT_EQ(frontend.registry.stats("seg-fp32").model_version, 3);
+  EXPECT_EQ(frontend.registry.at("seg-fp32").stats().model_version, 3);
 }
 
 TEST(HttpServer, HealthzFlipsDuringDrainAndDrainedModelsAnswer503) {
@@ -385,7 +402,7 @@ TEST(HttpServer, RegisterModelsFromSpecServesOverHttp) {
   model.checkpoint = ckpt.path;
   model.workers = 1;
   model.precision = "int8";
-  model.model = dh::to_model_arch(dst::small_config());
+  model.model = dst::small_config();
   spec.models.push_back(model);
 
   ds::ModelRegistry registry;

@@ -156,7 +156,7 @@ dh::WindowMeasurement measure(const dh::Knobs& knobs) {
 }  // namespace
 
 TEST(CoordinateDescentPolicy, FindsOptimumOfSeparableSurface) {
-  dh::CoordinateDescentPolicy policy(dh::Knobs::horovod_defaults(), dh::TuningSpace{}, 0.02);
+  dh::CoordinateDescentPolicy policy(dh::Knobs::horovod_defaults(), dh::TuningSpace{});
   int proposals = 0;
   while (const auto candidate = policy.propose()) {
     ASSERT_LT(++proposals, 100) << "policy does not terminate";
@@ -170,8 +170,8 @@ TEST(CoordinateDescentPolicy, FindsOptimumOfSeparableSurface) {
 }
 
 TEST(CoordinateDescentPolicy, ProposalSequenceIsDeterministic) {
-  dh::CoordinateDescentPolicy a(dh::Knobs::horovod_defaults(), dh::TuningSpace{}, 0.02);
-  dh::CoordinateDescentPolicy b(dh::Knobs::horovod_defaults(), dh::TuningSpace{}, 0.02);
+  dh::CoordinateDescentPolicy a(dh::Knobs::horovod_defaults(), dh::TuningSpace{});
+  dh::CoordinateDescentPolicy b(dh::Knobs::horovod_defaults(), dh::TuningSpace{});
   for (int i = 0; i < 50; ++i) {
     const auto ca = a.propose();
     const auto cb = b.propose();
@@ -190,7 +190,7 @@ TEST(CoordinateDescentPolicy, TuningNeverTouchesDataAffectingKnobs) {
   base.compression = dh::CompressionAlgo::kFp16;
   base.algo = dm::AllreduceAlgo::kRecursiveDoubling;
   base.response_cache = false;
-  dh::CoordinateDescentPolicy policy(base, dh::TuningSpace{}, 0.02);
+  dh::CoordinateDescentPolicy policy(base, dh::TuningSpace{});
   while (const auto candidate = policy.propose()) {
     // Candidates explore fusion/cycle/hierarchical only; fp16, the forced
     // algorithm, and the cache setting ride along unchanged.
@@ -357,7 +357,7 @@ dh::TuningSpace codec_space() {
 }  // namespace
 
 TEST(CoordinateDescentPolicy, ExploresCompressionAxisWhenOptedIn) {
-  dh::CoordinateDescentPolicy policy(dh::Knobs::horovod_defaults(), codec_space(), 0.02);
+  dh::CoordinateDescentPolicy policy(dh::Knobs::horovod_defaults(), codec_space());
   int proposals = 0;
   while (const auto candidate = policy.propose()) {
     ASSERT_LT(++proposals, 200) << "policy does not terminate";
@@ -373,7 +373,7 @@ TEST(CoordinateDescentPolicy, EmptyCompressionAxisNeverProposesCodecs) {
   // Default TuningSpace: tuning stays bitwise-invariant — no candidate
   // may flip the wire codec.
   dh::Knobs base = dh::Knobs::horovod_defaults();
-  dh::CoordinateDescentPolicy policy(base, dh::TuningSpace{}, 0.02);
+  dh::CoordinateDescentPolicy policy(base, dh::TuningSpace{});
   while (const auto candidate = policy.propose()) {
     EXPECT_EQ(candidate->compression, dh::CompressionAlgo::kNone);
     policy.observe(measure(*candidate));

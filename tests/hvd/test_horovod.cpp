@@ -4,11 +4,14 @@
 // from HOROVOD_* environment variables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dlscale/hvd/horovod.hpp"
+#include "dlscale/util/json.hpp"
 #include "dlscale/util/rng.hpp"
 
 namespace dh = dlscale::hvd;
@@ -310,25 +313,53 @@ TEST(Horovod, BroadcastFromNonZeroRoot) {
   });
 }
 
-TEST(Horovod, TimelineRecordsNegotiationAndAllreduce) {
-  dm::run_world(summit(1), [](dm::Communicator& comm) {
+namespace {
+
+// Rank 0's timeline for one tensor named `name`, parsed back.
+dlscale::util::json::Value timeline_of(const std::string& name) {
+  dlscale::util::json::Value trace;
+  dm::run_world(summit(1), [&](dm::Communicator& comm) {
     dh::Knobs knobs;
     knobs.cycle_time_s = 1e-4;
+    knobs.timeline = true;
     dh::HorovodRuntime runtime(comm, knobs);
-    runtime.enable_timeline();
     std::vector<float> g(4096, 1.0f);
-    runtime.submit({"tl/grad", std::span<float>(g)});
+    runtime.submit({name, std::span<float>(g)});
     runtime.synchronize();
     if (comm.rank() == 0) {
       std::ostringstream out;
       runtime.write_timeline(out);
-      const std::string json = out.str();
-      EXPECT_NE(json.find("\"cat\": \"negotiation\""), std::string::npos);
-      EXPECT_NE(json.find("\"cat\": \"allreduce\""), std::string::npos);
-      EXPECT_NE(json.find("tl/grad"), std::string::npos);
-      EXPECT_EQ(json.front(), '[');
+      trace = dlscale::util::json::parse(out.str());
     }
   });
+  return trace;
+}
+
+}  // namespace
+
+TEST(Horovod, TimelineRecordsNegotiationAndAllreduce) {
+  const auto trace = timeline_of("tl/grad");
+  std::vector<std::string> cats;
+  for (const auto& event : trace.as_array()) {
+    cats.push_back(event.find("cat")->as_string());
+    EXPECT_EQ(event.find("ph")->as_string(), "X");
+    EXPECT_GE(event.find("dur")->as_number(), 0.0);
+  }
+  EXPECT_NE(std::find(cats.begin(), cats.end(), "negotiation"), cats.end());
+  ASSERT_NE(std::find(cats.begin(), cats.end(), "allreduce"), cats.end());
+  const auto allreduce = std::find(cats.begin(), cats.end(), "allreduce") - cats.begin();
+  EXPECT_EQ(trace.as_array()[static_cast<std::size_t>(allreduce)].find("name")->as_string(),
+            "tl/grad");
+}
+
+TEST(Horovod, TimelineEscapesTensorNames) {
+  const std::string name = "conv\"1\\w";
+  const auto trace = timeline_of(name);  // parse throws on unescaped bytes
+  bool found = false;
+  for (const auto& event : trace.as_array()) {
+    found = found || event.find("name")->as_string() == name;
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(Horovod, StallCheckFlagsSlowRank) {

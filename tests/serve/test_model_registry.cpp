@@ -62,12 +62,12 @@ TEST(ModelRegistry, RegistersAndServesNamedModels) {
   for (std::size_t j = 0; j < expect_b.numel(); ++j) ASSERT_EQ(rb.logits[j], expect_b[j]);
 
   // Per-model counters are isolated.
-  EXPECT_EQ(registry.stats("alpha").accepted, 1u);
-  EXPECT_EQ(registry.stats("beta").accepted, 1u);
+  EXPECT_EQ(registry.at("alpha").stats().accepted, 1u);
+  EXPECT_EQ(registry.at("beta").stats().accepted, 1u);
   const auto all = registry.stats_all();
   ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].first, "alpha");
-  EXPECT_EQ(all[1].first, "beta");
+  EXPECT_EQ(all[0].name, "alpha");
+  EXPECT_EQ(all[1].name, "beta");
 }
 
 TEST(ModelRegistry, AddModelOverwritesConfigName) {
@@ -102,9 +102,6 @@ TEST(ModelRegistry, UnknownModelErrorNamesKnownSet) {
     EXPECT_EQ(e.model(), "nope");
     EXPECT_EQ(e.known(), (std::vector<std::string>{"alpha"}));
   }
-  EXPECT_THROW(registry.reload("nope", ckpt.path), ds::UnknownModelError);
-  EXPECT_THROW((void)registry.stats("nope"), ds::UnknownModelError);
-  EXPECT_THROW(registry.shutdown_model("nope"), ds::UnknownModelError);
 }
 
 TEST(ModelRegistry, PerModelReloadBumpsOnlyThatModel) {
@@ -115,17 +112,17 @@ TEST(ModelRegistry, PerModelReloadBumpsOnlyThatModel) {
   ds::ModelRegistry registry;
   registry.add_model("alpha", config_for(1), ckpt_a.path);
   registry.add_model("beta", config_for(1), ckpt_a.path);
-  registry.reload("alpha", ckpt_b.path);
-  EXPECT_EQ(registry.stats("alpha").model_version, 2);
-  EXPECT_EQ(registry.stats("alpha").reloads, 1u);
-  EXPECT_EQ(registry.stats("beta").model_version, 1);
-  EXPECT_EQ(registry.stats("beta").reloads, 0u);
+  registry.at("alpha").reload(ckpt_b.path);
+  EXPECT_EQ(registry.at("alpha").stats().model_version, 2);
+  EXPECT_EQ(registry.at("alpha").stats().reloads, 1u);
+  EXPECT_EQ(registry.at("beta").stats().model_version, 1);
+  EXPECT_EQ(registry.at("beta").stats().reloads, 0u);
   // Reload-with-quantize flips the precision of that model only.
   ds::QuantizeSpec spec;
   spec.precision = dlscale::nn::Precision::kInt8;
-  registry.reload("alpha", ckpt_b.path, spec);
-  EXPECT_STREQ(registry.stats("alpha").precision, "int8");
-  EXPECT_STREQ(registry.stats("beta").precision, "fp32");
+  registry.at("alpha").reload(ckpt_b.path, spec);
+  EXPECT_EQ(registry.at("alpha").stats().precision, "int8");
+  EXPECT_EQ(registry.at("beta").stats().precision, "fp32");
 }
 
 TEST(ModelRegistry, ShutdownModelDrainsOnlyThatModel) {
@@ -134,7 +131,7 @@ TEST(ModelRegistry, ShutdownModelDrainsOnlyThatModel) {
   ds::ModelRegistry registry;
   registry.add_model("alpha", config_for(1), ckpt.path);
   registry.add_model("beta", config_for(1), ckpt.path);
-  registry.shutdown_model("alpha");
+  registry.at("alpha").shutdown();
   dlscale::util::Rng rng(4);
   // alpha sheds with kClosed; beta still serves; alpha's entry remains
   // visible for /stats.
@@ -145,7 +142,7 @@ TEST(ModelRegistry, ShutdownModelDrainsOnlyThatModel) {
   ASSERT_TRUE(f.has_value());
   (void)f->get();
   EXPECT_EQ(registry.size(), 2u);
-  EXPECT_EQ(registry.stats("alpha").rejected_closed, 1u);
+  EXPECT_EQ(registry.at("alpha").stats().rejected_closed, 1u);
 }
 
 TEST(ModelRegistry, ShutdownIsIdempotentAndFindSurvivesIt) {

@@ -109,7 +109,7 @@ TEST(QuantizedServer, StatsCarryPrecisionTagAndSplitCounters) {
               config.model.input_size * config.model.input_size);
   }
   const ds::ServerStats stats = server.stats();
-  EXPECT_STREQ(stats.precision, "int8");
+  EXPECT_EQ(stats.precision, "int8");
   EXPECT_EQ(stats.quantized_requests, static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(stats.fp32_requests, 0u);
   EXPECT_EQ(stats.completed, stats.fp32_requests + stats.quantized_requests);
@@ -126,12 +126,12 @@ TEST(QuantizedServer, HotReloadFlipsFp32DeploymentToInt8) {
   auto f1 = server.submit(test_image(50));
   ASSERT_TRUE(f1.has_value());
   EXPECT_EQ(f1->get().precision, dn::Precision::kFp32);
-  EXPECT_STREQ(server.stats().precision, "fp32");
+  EXPECT_EQ(server.stats().precision, "fp32");
 
   ds::QuantizeSpec spec;
   spec.precision = dn::Precision::kInt8;
   server.reload(ckpt.path, spec);  // same weights, new precision
-  EXPECT_STREQ(server.stats().precision, "int8");
+  EXPECT_EQ(server.stats().precision, "int8");
   EXPECT_EQ(server.model_version(), 2);
 
   auto f2 = server.submit(test_image(51));
@@ -147,7 +147,7 @@ TEST(QuantizedServer, HotReloadFlipsFp32DeploymentToInt8) {
 
   // A reload back to plain fp32 restores bitwise-exact serving.
   server.reload(ckpt.path, ds::QuantizeSpec{});
-  EXPECT_STREQ(server.stats().precision, "fp32");
+  EXPECT_EQ(server.stats().precision, "fp32");
 }
 
 TEST(QuantizedRegistry, BadCheckpointUnderQuantizeKeepsOldSetServing) {
@@ -158,5 +158,13 @@ TEST(QuantizedRegistry, BadCheckpointUnderQuantizeKeepsOldSetServing) {
   ds::ReplicaRegistry registry(dst::small_config(), 1, good.path, spec);
   EXPECT_THROW(registry.reload("/nonexistent/ckpt.bin"), std::runtime_error);
   EXPECT_EQ(registry.version(), 1);
+  EXPECT_EQ(registry.precision(), dn::Precision::kBf16);
+  // A refused reload does not adopt its spec either: the next plain
+  // reload keeps serving bf16.
+  ds::QuantizeSpec int8;
+  int8.precision = dn::Precision::kInt8;
+  EXPECT_THROW(registry.reload("/nonexistent/ckpt.bin", int8), std::runtime_error);
+  registry.reload(good.path);
+  EXPECT_EQ(registry.version(), 2);
   EXPECT_EQ(registry.precision(), dn::Precision::kBf16);
 }

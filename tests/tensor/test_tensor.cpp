@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace dt = dlscale::tensor;
 namespace du = dlscale::util;
 
@@ -15,6 +18,20 @@ TEST(Tensor, ConstructionZeroFilled) {
 TEST(Tensor, InvalidShapeThrows) {
   EXPECT_THROW(dt::Tensor({2, 0}), std::invalid_argument);
   EXPECT_THROW(dt::Tensor({-1}), std::invalid_argument);
+}
+
+TEST(Tensor, ElementCountOverflowThrowsNamingShape) {
+  // 2^64 elements: an unchecked product wraps to 0 and builds an empty
+  // tensor with a null data pointer.
+  const dt::Shape wraps{65536, 65536, 65536, 65536};
+  try {
+    const dt::Tensor t(wraps);
+    FAIL() << "built a tensor with numel " << t.numel();
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("(65536,65536,65536,65536)"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)dt::Tensor({1}).reshaped(wraps), std::overflow_error);
 }
 
 TEST(Tensor, Indexing4D) {
